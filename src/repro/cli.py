@@ -153,14 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 "walks the AST every evaluation (the reference semantics)"
             ),
         )
-        p.add_argument(
-            "--jobs", type=int, default=1, metavar="N",
-            help=(
-                "evaluate the compliance sweep with N worker processes "
-                "(fork-based; falls back to serial where fork is "
-                "unavailable)"
-            ),
-        )
 
     check = sub.add_parser(
         "check", help="simulate, evaluate controls, print the dashboard"
@@ -417,7 +409,7 @@ def cmd_check(args, out) -> int:
                 materializer.register(control)
             restored = materializer.restore()
             before = materializer.refreshes
-            results = evaluator.run(sim.controls, jobs=args.jobs)
+            results = evaluator.run(sim.controls)
             materializer.save()
             evaluated = materializer.refreshes - before
             origin = (
@@ -430,7 +422,7 @@ def cmd_check(args, out) -> int:
                 file=out,
             )
         else:
-            results = evaluator.run(sim.controls, jobs=args.jobs)
+            results = evaluator.run(sim.controls)
         dashboard = ComplianceDashboard()
         for control in sim.controls:
             dashboard.register_control(control)
@@ -520,12 +512,11 @@ def cmd_serve(args, out) -> int:
         f"{report.evaluated} pairs evaluated at startup",
         file=out,
     )
-    if runtime.sharded:
-        print(
-            f"sharded runtime: {runtime.lane_count} parallel ingest "
-            f"lanes (one per shard, routed by APPID hash)",
-            file=out,
-        )
+    print(
+        f"ingest lanes: {runtime.lane_count} (one per shard, routed by "
+        f"APPID hash)",
+        file=out,
+    )
     try:
         server = ComplianceHTTPServer(
             runtime, host=args.host, port=args.port
@@ -612,7 +603,7 @@ def cmd_report(args, out) -> int:
             observable_types=sim.observable_types,
             execution_mode=args.execution_mode,
         )
-        results = evaluator.run(sim.controls, jobs=args.jobs)
+        results = evaluator.run(sim.controls)
         builder = AuditReportBuilder(sim.store, sim.controls)
         print(builder.build(results), file=out)
         return 0
@@ -655,12 +646,12 @@ def cmd_chaos(args, out) -> int:
 
 
 def _print_lane_stats(backend, out) -> None:
-    """Per-lane ingest counters a sharded service runtime persisted.
+    """Per-lane ingest counters a service runtime persisted.
 
-    A sharded ``repro serve`` saves each lane's counters as auxiliary
-    state at snapshot/shutdown; reporting them here makes ``store-stats``
-    show how ingest load actually spread across lanes, instead of only
-    the aggregate.
+    ``repro serve`` saves each lane's counters (one lane per shard) as
+    auxiliary state at snapshot/shutdown; reporting them here makes
+    ``store-stats`` show how ingest load actually spread across lanes,
+    instead of only the aggregate.
     """
     import json
 

@@ -30,15 +30,14 @@ point                                       site
 ``sharded.flush.shard<i>``                  shards < i flushed, shard i and
                                             later still staged
 ``sharded.append.shard<i>``                 row routed to shard i, not yet
-                                            handed to it
+                                            handed to it; also a service
+                                            ingest lane's batch for shard
+                                            i (shard 0 on a plain store),
+                                            before any of it lands
 ``materializer.save.mid_snapshot``          dirty pairs refreshed, snapshot
                                             not yet written
 ``materializer.restore.mid_restore``        snapshot loaded, catch-up not
                                             yet marked
-``evaluator.pool.worker_start``             parent about to fork the sweep
-                                            pool
-``evaluator.pool.worker_teardown``          parent about to tear the pool
-                                            down
 ==========================================  =================================
 """
 

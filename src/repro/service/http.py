@@ -22,10 +22,10 @@ Handler threads speak HTTP/1.1 with keep-alive (every reply carries a
 Content-Length), so a streaming client holds one connection — and one
 handler thread — for its whole session instead of paying accept/teardown
 per batch.  The threads funnel into the runtime, which serializes them
-per ingest lane (per shard on a sharded store, one global lock
-otherwise); the server adds no state of its own beyond the shutdown
-latch.  Errors surface as JSON bodies — ``{"error": ...}`` with a
-4xx/5xx code — never as HTML tracebacks.
+per ingest lane (one per shard; a plain store has one); the server adds
+no state of its own beyond the shutdown latch.  Errors surface as JSON
+bodies — ``{"error": ...}`` with a 4xx/5xx code — never as HTML
+tracebacks.
 """
 
 from __future__ import annotations
@@ -82,8 +82,17 @@ class _RuntimeRequestHandler(BaseHTTPRequestHandler):
         self._reply(status, {"error": message})
 
     def _read_json(self) -> Optional[Dict]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length < 0 or length > _MAX_BODY:
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # Without a usable length the body cannot be framed, so the
+            # rest of this connection is unreadable too: answer and drop.
+            self.close_connection = True
+            self._reply_error(400, "Content-Length must be an integer >= 0")
+            return None
+        if length > _MAX_BODY:
             self._reply_error(413, "request body too large")
             return None
         raw = self.rfile.read(length) if length else b""

@@ -1,18 +1,14 @@
-"""Per-shard ingest lanes for the sharded service runtime.
+"""Per-shard ingest lanes for the service runtime.
 
-PR 6 sharded the *store*: :class:`~repro.store.backends.sharded.ShardedBackend`
-routes each trace's rows to a child backend by a stable CRC32 hash of its
-APPID, and per-shard file locks already let independent processes append
-to different shards in parallel.  The service runtime, however, still
-serialized every ingest on one lock, so served ingest throughput stayed
-flat (or dropped) as clients were added.
-
-An :class:`IngestLane` is the runtime-side mirror of one shard: it owns a
-shard-scoped store handle, its own recorder pipeline (typing + dedup),
-and its own incremental correlation, all guarded by a per-lane lock.
-The runtime routes events to lanes with the same APPID hash the backend
-uses, so ingest calls for traces on different shards never touch shared
-state and proceed genuinely in parallel.  Cross-shard state — the
+:class:`~repro.store.backends.sharded.ShardedBackend` routes each trace's
+rows to a child backend by a stable CRC32 hash of its APPID; a plain
+backend is the one-shard case.  An :class:`IngestLane` is the
+runtime-side mirror of one shard: it owns a shard-scoped store handle,
+its own recorder pipeline (typing + dedup), and its own incremental
+correlation, all guarded by the lane's lock.  The runtime builds one lane
+per shard for every store and routes events with the same APPID hash the
+backend uses, so ingest calls for traces on different shards never touch
+shared state and proceed in parallel.  Cross-shard state — the
 materializer, the verdict table, snapshots — stays behind the runtime's
 global lock, which folds lane output in through the store's change feed.
 
@@ -63,14 +59,15 @@ class IngestLane:
 
     Args:
         index: the shard this lane mirrors.
-        store: shard-scoped store handle.  In sharded mode this is a
-            dedicated :class:`ProvenanceStore` over the shard's backend
-            (a forked SQLite handle or the shared memory child); in the
-            single-lane degenerate case it is the runtime's global store.
-        lock: the lane lock.  A fresh ``threading.Lock`` per lane in
-            sharded mode; the runtime's global ``RLock`` in single-lane
-            mode so the old fully-serialized semantics are preserved
-            exactly (re-entrancy keeps nested global→lane acquisition
+        store: shard-scoped store handle: a dedicated
+            :class:`ProvenanceStore` over the shard's backend — a forked
+            SQLite connection, or the shard's own backend object when it
+            cannot fork.
+        lock: the lane lock.  A fresh ``threading.Lock`` when the lane
+            writes through a handle no one else writes to (a fork, or a
+            memory shard); the runtime's global ``RLock`` when it shares
+            a buffering handle with the global view, so the two never
+            interleave (re-entrancy keeps nested global→lane acquisition
             legal).
         mapping: event mapping; ``None`` leaves the lane read-only.
         correlation_rules: rules run incrementally over traces this lane
@@ -80,9 +77,10 @@ class IngestLane:
             any cross-lane locking.
         owns_store: whether the lane owns (and must close + flush) its
             store handle — True for forked SQLite handles only.
-        crash_tag: fault-injection point fired at each batch entry, named
-            like the sharded backend's own per-shard append points so the
-            chaos harness can crash a specific lane.
+
+    Each batch entry fires the ``sharded.append.shard<index>`` crash
+    point, named like the sharded backend's own per-shard append points,
+    so the chaos harness can crash a specific lane on any store.
     """
 
     def __init__(
@@ -94,13 +92,12 @@ class IngestLane:
         correlation_rules: Sequence = (),
         rel_ids: Optional[IdFactory] = None,
         owns_store: bool = False,
-        crash_tag: Optional[str] = None,
     ) -> None:
         self.index = index
         self.store = store
         self.lock = lock if lock is not None else threading.Lock()
         self.owns_store = owns_store
-        self.crash_tag = crash_tag
+        self.crash_tag = "sharded.append.shard%d" % index
         self.recorder = (
             RecorderClient(store, mapping) if mapping is not None else None
         )
@@ -139,13 +136,12 @@ class IngestLane:
 
     def ingest(self, events: Sequence[ApplicationEvent]) -> LaneResult:
         """Run one routed batch through this lane's pipeline."""
-        if self.crash_tag is not None:
-            # Lane appends go through the lane handle, not the sharded
-            # backend's own append path, so its per-shard crash points
-            # would never fire; re-issue them here, before any append of
-            # the batch lands (a crashed batch is all-or-nothing and a
-            # re-send after reopen dedups cleanly).
-            crash_point(self.crash_tag)
+        # Lane appends go through the lane handle, not the sharded
+        # backend's own append path, so its per-shard crash points would
+        # never fire; re-issue them here, before any append of the batch
+        # lands (a crashed batch is all-or-nothing and a re-send after
+        # reopen dedups cleanly).
+        crash_point(self.crash_tag)
         stats = self.recorder.stats
         before = (
             stats.recorded,

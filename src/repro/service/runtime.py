@@ -11,9 +11,9 @@ object that owns all four and exposes a small session API —
 
 - :meth:`ingest` — run event batches through the recorder pipeline
   (typing, dedup) plus incremental correlation,
-- :meth:`sync` — fold in rows *other processes* appended to the shared
-  backend (the sharded multi-writer path), correlate the touched traces,
-  and refresh the affected verdicts,
+- :meth:`sync` — fold in rows the ingest lanes and *other processes*
+  appended to the shared backend, correlate the touched traces, and
+  refresh the affected verdicts,
 - :meth:`verdicts` — the materialized (control, trace) table, refreshed
   and read in canonical sweep order, byte-identical to a cold sweep,
 - :meth:`stats` / :meth:`health` — observability,
@@ -30,19 +30,19 @@ stream events in over a transport (:mod:`repro.service.transport`) while
 readers query verdicts that the background loop keeps fresh.  The HTTP
 front end lives in :mod:`repro.service.http`; ``repro serve`` wires both.
 
-Thread safety and the sharded runtime: over a sharded store the runtime
-splits into per-shard **ingest lanes** (:mod:`repro.service.lanes`) —
-each lane owns its shard's recorder pipeline, dedup state, and
-incremental correlation under its own lock, and events route to lanes by
-the same stable APPID hash the backend uses — so concurrent ``ingest``
-calls for different shards proceed in parallel.  The global re-entrant
-lock fences only cross-shard state: materializer refreshes, snapshots,
-shutdown, and the vector-cursor sync that folds lane output into the
-global view.  Hot reads (``verdicts``) are served from a read cache
+Thread safety: the runtime has one shape for every store.  It runs one
+**ingest lane** (:mod:`repro.service.lanes`) per shard — a plain
+single-file store is simply one shard — and each lane owns its shard's
+recorder pipeline, dedup state, and incremental correlation under its
+own lock.  Events route to lanes by the same stable APPID hash the
+backend uses, so concurrent ``ingest`` calls for different shards
+proceed in parallel.  The global re-entrant lock fences only
+cross-shard state: materializer refreshes, snapshots, shutdown, and the
+fold that brings lane output into the global view through the store's
+change feed.  Hot reads (``verdicts``) are served from a read cache
 keyed by the materializer's transition epoch plus every lane's commit
-counter, so a quiescent read never takes a lock at all.  Over an
-unsharded store there is one lane sharing the global lock and behavior
-is exactly the pre-lane, fully serialized runtime.
+counter, so a quiescent read never takes a lock; ``stats`` and
+``health`` never take it either.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from typing import (
 )
 
 from repro.capture.events import ApplicationEvent
-from repro.capture.recorder import RecorderClient, RecorderStats
+from repro.capture.recorder import RecorderStats
 from repro.controls.control import InternalControl
 from repro.controls.evaluator import ComplianceEvaluator
 from repro.controls.materializer import (
@@ -179,10 +179,8 @@ class ComplianceRuntime:
         #: shared relation-id factory; ``next()`` is GIL-atomic, so lanes
         #: mint globally unique REL ids without cross-lane locking.
         self._rel_ids = None  # seeded and shared out in :meth:`open`
-        #: per-shard ingest lanes (one lane over the global store when
-        #: the backend is unsharded or its shards cannot fork handles).
+        #: one ingest lane per shard (a plain backend is one shard).
         self._lanes: List[IngestLane] = []
-        self._sharded = False
         # Live transition feed (ring buffer, monotonically indexed).
         self._transitions: Deque[Tuple[int, VerdictTransition]] = deque(
             maxlen=transition_backlog
@@ -199,31 +197,21 @@ class ComplianceRuntime:
         self._stop = threading.Event()
         self.background_interval: Optional[float] = None
         #: counters surfaced by :meth:`stats` (small dedicated lock: the
-        #: sharded ingest path bumps them outside the global lock).
+        #: lane ingest path and the refresh loop bump them outside the
+        #: global lock).
         self._counter_lock = threading.Lock()
         self.polls = 0
+        #: background ticks that raised, the latest one's error, and
+        #: whether the most recent tick failed (``/health`` degrades).
+        self.refresh_errors = 0
+        self.last_refresh_error: Optional[str] = None
+        self._refresh_failing = False
         self.ingest_batches = 0
         self.ingest_events = 0
         self.correlated_total = 0
         self.snapshots_saved = 0
         self.verdict_cache_hits = 0
         self.verdict_cache_misses = 0
-
-    @property
-    def recorder(self) -> Optional[RecorderClient]:
-        """The single-lane recorder (None before open / when sharded).
-
-        Sharded runtimes have one recorder per lane; aggregate stats are
-        in :meth:`stats` under ``"recorder"``.
-        """
-        if len(self._lanes) == 1:
-            return self._lanes[0].recorder
-        return None
-
-    @property
-    def sharded(self) -> bool:
-        """Whether ingest runs through parallel per-shard lanes."""
-        return self._sharded
 
     @property
     def lane_count(self) -> int:
@@ -283,45 +271,34 @@ class ComplianceRuntime:
             self._rel_ids.seed(_RELATION_PREFIX, highest + 1)
 
     def _build_lanes(self) -> None:
-        """Mirror the store's shard layout with per-shard ingest lanes.
+        """One ingest lane per shard; a plain backend is one shard.
 
-        Sharded mode needs an independent store handle per shard — a
-        forked SQLite connection over the shard file, or the shard's
-        shared memory child (safe under per-lane locks because lanes
-        never touch each other's children).  When any shard cannot
-        provide one (e.g. ``:memory:`` SQLite children), the runtime
-        degrades to a single lane over the global store guarded by the
-        global lock: correct, just not parallel.
+        Each lane writes through a store handle of its own.  Its handle
+        and lock are decided here and nowhere else:
+
+        - a forkable shard (file-backed SQLite) gets a forked connection
+          that the lane owns, flushes and closes, under a fresh lock;
+        - a :class:`MemoryBackend` shard is shared with the global view
+          (it buffers nothing, and lanes never touch each other's
+          shards), under a fresh lock;
+        - any other shard (``:memory:`` SQLite, fault-injecting proxies)
+          is shared with the global view too, so its lane takes the
+          global lock: correct, just not parallel with refreshes.
         """
         backend = self.store.backend
-        handles: Optional[List[Tuple[object, bool]]] = None
-        if isinstance(backend, ShardedBackend) and backend.shard_count() > 1:
-            handles = []
-            for child in backend.children:
-                if isinstance(child, MemoryBackend):
-                    handles.append((child, False))
-                    continue
-                fork = child.fork_handle()
-                if fork is None:
-                    handles = None
-                    break
-                handles.append((fork, True))
-        if handles is None:
-            self._sharded = False
-            self._lanes = [
-                IngestLane(
-                    0,
-                    self.store,
-                    self._lock,
-                    mapping=self._mapping,
-                    correlation_rules=self._correlation_rules,
-                    rel_ids=self._rel_ids,
-                )
-            ]
-            return
-        self._sharded = True
+        shards = (
+            backend.children
+            if isinstance(backend, ShardedBackend)
+            else (backend,)
+        )
         self._lanes = []
-        for index, (handle, owns) in enumerate(handles):
+        for index, shard in enumerate(shards):
+            handle = shard.fork_handle()
+            lock = threading.Lock()
+            if handle is None:
+                handle = shard
+                if not isinstance(shard, MemoryBackend):
+                    lock = self._lock
             lane_store = ProvenanceStore(
                 model=self.store.model,
                 indexed=False,
@@ -333,12 +310,11 @@ class ComplianceRuntime:
                 IngestLane(
                     index,
                     lane_store,
-                    threading.Lock(),
+                    lock,
                     mapping=self._mapping,
                     correlation_rules=self._correlation_rules,
                     rel_ids=self._rel_ids,
-                    owns_store=owns,
-                    crash_tag="sharded.append.shard%d" % index,
+                    owns_store=handle is not shard,
                 )
             )
 
@@ -383,10 +359,8 @@ class ComplianceRuntime:
     def _lane_for(self, event: ApplicationEvent) -> int:
         # Route by the APPID the *record* will carry ("unattributed" is
         # the mapping's fallback for trace-unaware systems), with the
-        # same stable hash the sharded backend uses, so every lane writes
-        # only rows its shard owns.
-        if not self._sharded:
-            return 0
+        # same stable hash the backend uses, so every lane writes only
+        # rows its shard owns.
         return self.store.shard_index(event.app_id or "unattributed")
 
     def ingest(self, events: Sequence[ApplicationEvent]) -> IngestReply:
@@ -397,23 +371,15 @@ class ComplianceRuntime:
         reader / background loop (appends only mark dirty pairs, which is
         what keeps ingest throughput independent of control count).
 
-        On a sharded runtime the batch is partitioned by home shard and
-        each partition runs under its lane's lock only — two clients
-        streaming different traces never serialize on each other.
+        The batch is partitioned by home shard and each partition runs
+        under its lane's lock only — two clients streaming traces on
+        different shards never serialize on each other.
         """
         if self._mapping is None:
             raise ServiceError(
                 "this runtime has no event mapping; ingestion is disabled"
             )
         self._require_open()
-        if not self._sharded:
-            # Single-lane runtimes keep the pre-lane contract: the whole
-            # batch (and its reply's cursor) is one critical section.
-            with self._lock:
-                return self._ingest_routed(events)
-        return self._ingest_routed(events)
-
-    def _ingest_routed(self, events: Sequence[ApplicationEvent]) -> IngestReply:
         groups: Dict[int, List[int]] = {}
         for position, event in enumerate(events):
             groups.setdefault(self._lane_for(event), []).append(position)
@@ -439,12 +405,6 @@ class ComplianceRuntime:
             self.ingest_batches += 1
             self.ingest_events += len(events)
             self.correlated_total += correlated
-        if self._sharded:
-            # Lane rows are committed but not yet folded into the global
-            # handle's cursor; the backend tip is the truthful checkpoint.
-            last_seq = self.store.backend.last_seq()
-        else:
-            last_seq = self.store.last_seq()
         return IngestReply(
             recorded=recorded,
             duplicates=duplicates,
@@ -452,7 +412,9 @@ class ComplianceRuntime:
             dropped_unmapped=dropped_unmapped,
             correlated=correlated,
             dispositions=dispositions,
-            last_seq=last_seq,
+            # Lane rows are committed but not yet folded into the global
+            # handle's cursor; the backend tip is the truthful checkpoint.
+            last_seq=self.store.backend.last_seq(),
         )
 
     def _fold_lanes_locked(self) -> int:
@@ -474,18 +436,11 @@ class ComplianceRuntime:
         return correlated
 
     def _sync_locked(self) -> SyncOutcome:
-        if self._sharded:
-            # Lanes first (their appends + correlation products must be
-            # committed), then one global fold brings the materializer's
-            # dirty tracking current across every shard.
-            correlated = self._fold_lanes_locked()
-            new_rows = self.store.sync()
-        else:
-            new_rows = self.store.sync()
-            correlated = self._lanes[0].correlate() if new_rows else 0
-            if correlated:
-                with self._counter_lock:
-                    self.correlated_total += correlated
+        # Lanes first (their appends + correlation products must be
+        # committed), then one global fold brings the materializer's
+        # dirty tracking current across every shard.
+        correlated = self._fold_lanes_locked()
+        new_rows = self.store.sync()
         refreshed = 0
         if new_rows or correlated or self.materializer.dirty_count:
             refreshed = len(self.materializer.refresh())
@@ -500,11 +455,11 @@ class ComplianceRuntime:
         """One continuous-evaluation tick.
 
         Folds in rows lanes and other processes appended to the shared
-        backend (multi-writer recorders over a sharded store land here),
-        correlates the touched traces, and refreshes every dirty
-        (control, trace) pair — the generalization of the old ``watch``
-        poll body.  On a sharded runtime ``new_rows`` counts every row
-        folded into the global view, lane-ingested rows included.
+        backend (multi-writer recorders land here), correlates the
+        touched traces, and refreshes every dirty (control, trace) pair —
+        the generalization of the old ``watch`` poll body.  ``new_rows``
+        counts every row folded into the global view, lane-ingested rows
+        included.
         """
         with self._lock:
             self._require_open()
@@ -526,9 +481,8 @@ class ComplianceRuntime:
             return list(cached[1])
         with self._lock:
             self._require_open()
-            if self._sharded:
-                self._fold_lanes_locked()
-                self.store.sync()
+            self._fold_lanes_locked()
+            self.store.sync()
             # Snapshot the commit vector after the fold but before the
             # sweep: a lane commit that lands during the sweep bumps a
             # counter past this snapshot and correctly invalidates the
@@ -585,29 +539,33 @@ class ComplianceRuntime:
             ]
             return self._transition_seq, entries
 
-    def _stats_locked(self) -> Dict:
+    def _trace_count(self) -> int:
+        # Ask the backend, not the global handle's index: lane rows count
+        # from their commit, before the next fold reaches the index.
+        backend = self.store.backend
+        ids = backend.app_ids()
+        if ids is None:
+            return len({row.app_id for row in backend.iter_rows()})
+        return len(ids)
+
+    def stats(self) -> Dict:
+        """Counters for dashboards and the ``/stats`` endpoint.
+
+        Answers without the global lock — every field is either a backend
+        read or a GIL-atomic counter — so stats polling never stalls
+        behind a refresh.
+        """
         lanes = self._lanes
-        if self._sharded:
-            last_seq = self.store.backend.last_seq()
-            recorder_stats = RecorderStats.aggregate(
-                (
-                    lane.recorder.stats
-                    for lane in lanes
-                    if lane.recorder is not None
-                ),
+        last_seq = self.store.backend.last_seq()
+        recorder = None
+        if self._mapping is not None:
+            recorder = RecorderStats.aggregate(
+                (lane.recorder.stats for lane in lanes),
                 last_seq=last_seq,
-            )
-            recorder = recorder_stats.as_dict() if self._mapping else None
-        else:
-            last_seq = self.store.last_seq()
-            recorder = (
-                lanes[0].recorder.stats.as_dict()
-                if lanes and lanes[0].recorder is not None
-                else None
-            )
-        payload = {
+            ).as_dict()
+        return {
             "workload": self.workload_name,
-            "traces": len(self.store.app_ids()),
+            "traces": self._trace_count(),
             "rows": len(self.store),
             "shards": self.store.shard_count(),
             "last_seq": cursor_to_wire(last_seq),
@@ -622,62 +580,47 @@ class ComplianceRuntime:
             "ingest_events": self.ingest_events,
             "recorder": recorder,
             "polls": self.polls,
+            "refresh_errors": self.refresh_errors,
+            "last_refresh_error": self.last_refresh_error,
             "snapshots_saved": self.snapshots_saved,
             "background_running": self.background_running,
             "verdict_cache": {
                 "hits": self.verdict_cache_hits,
                 "misses": self.verdict_cache_misses,
             },
+            "lanes": [lane.counters() for lane in lanes],
         }
-        if self._sharded:
-            payload["lanes"] = [lane.counters() for lane in lanes]
-        return payload
-
-    def stats(self) -> Dict:
-        """Counters for dashboards and the ``/stats`` endpoint.
-
-        Sharded runtimes answer without the global lock — every field is
-        either a backend SQL read or a GIL-atomic counter — so stats
-        polling never stalls behind a refresh.
-        """
-        if self._sharded:
-            return self._stats_locked()
-        with self._lock:
-            return self._stats_locked()
 
     def health(self) -> Dict:
-        """Tiny liveness payload for ``/health``."""
-        if self._sharded:
-            return {
-                "status": "ok" if self._opened and not self._closed
-                else "stopped",
-                "workload": self.workload_name,
-                "traces": len(self.store.app_ids()),
-                "last_seq": cursor_to_wire(self.store.backend.last_seq()),
-            }
-        with self._lock:
-            return {
-                "status": "ok" if self._opened and not self._closed
-                else "stopped",
-                "workload": self.workload_name,
-                "traces": len(self.store.app_ids()),
-                "last_seq": cursor_to_wire(self.store.last_seq()),
-            }
+        """Tiny liveness payload for ``/health``; lock-free like stats.
 
-    def _save_lane_stats_locked(self) -> None:
-        if not self._sharded:
-            return
-        payload = json.dumps(
-            {
-                "version": 1,
-                "lanes": [lane.counters() for lane in self._lanes],
-            }
-        )
-        self.store.save_state(LANE_STATS_KEY, payload)
+        ``"degraded"`` while the background loop's latest tick failed
+        (``/stats`` carries the error), ``"ok"`` again after a good one.
+        """
+        if not self._opened or self._closed:
+            status = "stopped"
+        elif self._refresh_failing:
+            status = "degraded"
+        else:
+            status = "ok"
+        return {
+            "status": status,
+            "workload": self.workload_name,
+            "traces": self._trace_count(),
+            "last_seq": cursor_to_wire(self.store.backend.last_seq()),
+        }
 
     def _save_snapshot_locked(self) -> None:
         self.materializer.save()
-        self._save_lane_stats_locked()
+        self.store.save_state(
+            LANE_STATS_KEY,
+            json.dumps(
+                {
+                    "version": 1,
+                    "lanes": [lane.counters() for lane in self._lanes],
+                }
+            ),
+        )
         self.snapshots_saved += 1
 
     def snapshot(self) -> None:
@@ -685,17 +628,16 @@ class ComplianceRuntime:
 
         After this the backend alone carries everything a restarted
         runtime needs to resume: rows, auxiliary verdict state, the
-        change-feed cursor the state is current as of, and (sharded) the
-        per-lane ingest counters ``store-stats`` reports offline.
+        change-feed cursor the state is current as of, and the per-lane
+        ingest counters ``store-stats`` reports offline.
         """
         with self._lock:
             self._require_open()
-            if self._sharded:
-                # The snapshot cursor must cover lane rows already
-                # committed to the shard files, or a restart would
-                # re-evaluate traces this snapshot already verdicted.
-                self._fold_lanes_locked()
-                self.store.sync()
+            # The snapshot cursor must cover lane rows already committed
+            # to the shard files, or a restart would re-evaluate traces
+            # this snapshot already verdicted.
+            self._fold_lanes_locked()
+            self.store.sync()
             self._save_snapshot_locked()
 
     def _require_open(self) -> None:
@@ -726,7 +668,8 @@ class ComplianceRuntime:
                 if on_poll is not None:
                     on_poll(outcome)
                 polls += 1
-                self.polls += 1
+                with self._counter_lock:
+                    self.polls += 1
                 if once:
                     break
                 if max_polls is not None and polls >= max_polls:
@@ -768,13 +711,27 @@ class ComplianceRuntime:
             self._background.start()
 
     def _background_main(self, interval: float, snapshot_every: int) -> None:
+        # One failing tick (a transient store error, say) must not kill
+        # the loop for good: it is counted, surfaced through /stats and
+        # /health, and the next tick tries again.
         ticks = 0
         while not self._stop.is_set():
-            self.sync()
-            self.polls += 1
-            ticks += 1
-            if snapshot_every and ticks % snapshot_every == 0:
-                self.snapshot()
+            try:
+                self.sync()
+                with self._counter_lock:
+                    self.polls += 1
+                ticks += 1
+                if snapshot_every and ticks % snapshot_every == 0:
+                    self.snapshot()
+            except Exception as exc:
+                with self._counter_lock:
+                    self.refresh_errors += 1
+                    self.last_refresh_error = (
+                        f"{type(exc).__name__}: {exc}"
+                    )
+                self._refresh_failing = True
+            else:
+                self._refresh_failing = False
             self._stop.wait(interval)
 
     def stop_background(self) -> None:

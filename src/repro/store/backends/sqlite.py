@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import os
 import sqlite3
+import threading
 from collections import OrderedDict
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
@@ -142,9 +143,11 @@ class SQLiteBackend(StorageBackend):
             of spinning on ``SQLITE_BUSY``.
         threadsafe: allow the connection to be used from threads other
             than the creating one (``check_same_thread=False``).  The
-            caller must serialize all access externally — the service
-            runtime does, holding its lock around every store touch; the
-            default keeps sqlite3's own thread check for everyone else.
+            write buffer then gets its own lock, so a reader's flush
+            never interleaves with another thread's append; everything
+            else the caller serializes — the service runtime does, with
+            its lane and global locks.  The default keeps sqlite3's own
+            thread check for everyone else.
     """
 
     name = "sqlite"
@@ -188,6 +191,7 @@ class SQLiteBackend(StorageBackend):
             Tuple[StoredRow, Optional[ProvenanceRecord], Optional[str]]
         ] = []
         self._pending_ids: dict = {}
+        self._buffer_lock = threading.RLock() if threadsafe else NullLock()
         self._bulk_depth = 0
         self._cache: "OrderedDict[str, ProvenanceRecord]" = OrderedDict()
         self._decoder = None
@@ -356,48 +360,52 @@ class SQLiteBackend(StorageBackend):
             cols = None
         elif cols is None:
             self._null_cols += 1
-        self._pending.append((row, record, cols))
-        self._pending_ids[row.record_id] = len(self._pending) - 1
-        if record is not None:
-            self._cache_put(row.record_id, record)
-        threshold = (
-            self.bulk_batch_size if self._bulk_depth else self.batch_size
-        )
-        if len(self._pending) >= threshold:
-            self.flush()
+        with self._buffer_lock:
+            self._pending.append((row, record, cols))
+            self._pending_ids[row.record_id] = len(self._pending) - 1
+            if record is not None:
+                self._cache_put(row.record_id, record)
+            threshold = (
+                self.bulk_batch_size if self._bulk_depth else self.batch_size
+            )
+            if len(self._pending) >= threshold:
+                self.flush()
 
     def flush(self) -> None:
         """Commit all pending appends in one transaction."""
-        if not self._pending:
-            return
-        self._check_open()
-        with self._write_lock:
-            if self._columnar_ready:
-                self._conn.executemany(
-                    "INSERT INTO provenance (id, class, appid, xml, cols) "
-                    "VALUES (?, ?, ?, ?, ?)",
-                    [
-                        (r.record_id, r.record_class.value, r.app_id, r.xml, c)
-                        for r, __, c in self._pending
-                    ],
-                )
-            else:
-                self._conn.executemany(
-                    "INSERT INTO provenance (id, class, appid, xml) "
-                    "VALUES (?, ?, ?, ?)",
-                    [
-                        (r.record_id, r.record_class.value, r.app_id, r.xml)
-                        for r, __, __c in self._pending
-                    ],
-                )
-            # A death between the INSERTs and the COMMIT must roll the
-            # whole batch back — this is the transaction-boundary
-            # guarantee the crash model checker exercises.
-            crash_point("sqlite.flush.before_commit")
-            self._conn.commit()
-            crash_point("sqlite.flush.after_commit")
-        self._pending.clear()
-        self._pending_ids.clear()
+        with self._buffer_lock:
+            if not self._pending:
+                return
+            self._check_open()
+            with self._write_lock:
+                if self._columnar_ready:
+                    self._conn.executemany(
+                        "INSERT INTO provenance (id, class, appid, xml, "
+                        "cols) VALUES (?, ?, ?, ?, ?)",
+                        [
+                            (r.record_id, r.record_class.value, r.app_id,
+                             r.xml, c)
+                            for r, __, c in self._pending
+                        ],
+                    )
+                else:
+                    self._conn.executemany(
+                        "INSERT INTO provenance (id, class, appid, xml) "
+                        "VALUES (?, ?, ?, ?)",
+                        [
+                            (r.record_id, r.record_class.value, r.app_id,
+                             r.xml)
+                            for r, __, __c in self._pending
+                        ],
+                    )
+                # A death between the INSERTs and the COMMIT must roll the
+                # whole batch back — this is the transaction-boundary
+                # guarantee the crash model checker exercises.
+                crash_point("sqlite.flush.before_commit")
+                self._conn.commit()
+                crash_point("sqlite.flush.after_commit")
+            self._pending.clear()
+            self._pending_ids.clear()
 
     def begin_bulk(self) -> None:
         self._bulk_depth += 1
@@ -418,9 +426,11 @@ class SQLiteBackend(StorageBackend):
             self._cache.move_to_end(record_id)
             return cached
         self.cache_misses += 1
-        position = self._pending_ids.get(record_id)
-        if position is not None:
-            row, record, cols = self._pending[position]
+        with self._buffer_lock:
+            position = self._pending_ids.get(record_id)
+            pending = self._pending[position] if position is not None else None
+        if pending is not None:
+            row, record, cols = pending
             if record is None:
                 record = self._materialize(row, cols)
             self._cache_put(record_id, record)
@@ -637,8 +647,9 @@ class SQLiteBackend(StorageBackend):
         when the process holding the connection dies.  Idempotent."""
         if self._closed:
             return
-        self._pending.clear()
-        self._pending_ids.clear()
+        with self._buffer_lock:
+            self._pending.clear()
+            self._pending_ids.clear()
         self._conn.rollback()
         self._conn.close()
         self._closed = True

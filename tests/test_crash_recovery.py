@@ -221,26 +221,6 @@ class TestSnapshotDurability:
         assert fresh.materializer.cursor <= store.last_seq()
 
 
-@pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="fork-based pool not available"
-)
-class TestCrashVsRecoveryPaths:
-    def test_simulated_crash_passes_through_pool_fallback(self, sim):
-        """The evaluator's pool-failure fallback catches ``Exception`` and
-        degrades to a serial sweep; a SimulatedCrash (BaseException, like
-        a real SIGKILL) must NOT be recoverable that way."""
-        plan = FaultPlan(seed=1).crash_at("evaluator.pool.worker_start")
-        __, store = _faulty_store(sim, plan)
-        evaluator = ComplianceEvaluator(store, sim.xom, sim.vocabulary)
-        evaluator.parallel_mode = "always"
-        for record in _records(sim):
-            store.append(record)
-        with active_plan(plan):
-            with pytest.raises(SimulatedCrash):
-                evaluator.run(sim.controls, jobs=2)
-        assert evaluator.parallel_fallbacks == 0
-
-
 class TestModelChecker:
     @pytest.mark.parametrize(
         "backend,shards",

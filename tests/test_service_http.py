@@ -8,6 +8,7 @@ verdicts are byte-identical to a cold sweep of the same database.
 
 import contextlib
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -180,6 +181,40 @@ class TestHTTPRoundtrip:
             with pytest.raises(TransportError) as excinfo:
                 transport.ingest(_event_stream(workload, cases=1)[:1])
             assert "409" in str(excinfo.value)
+
+    def test_bad_content_length_is_a_json_400(self):
+        workload = hiring.workload()
+        sim = workload.simulate(cases=1, seed=2011)
+        runtime = ComplianceRuntime.from_simulation(sim, workload=workload)
+        runtime.open()
+        with _served(runtime) as endpoint:
+            host, port = endpoint[len("http://"):].split(":")
+            for length in ("ten", "-5"):
+                # Raw socket: urllib would never send such a header.
+                with socket.create_connection(
+                    (host, int(port)), timeout=30
+                ) as sock:
+                    sock.sendall(
+                        (
+                            "POST /ingest HTTP/1.1\r\n"
+                            f"Host: {host}\r\n"
+                            f"Content-Length: {length}\r\n"
+                            "\r\n"
+                        ).encode("ascii")
+                    )
+                    reply = b""
+                    # The server answers, then drops the connection: the
+                    # body could not be framed.
+                    while True:
+                        chunk = sock.recv(65536)
+                        if not chunk:
+                            break
+                        reply += chunk
+                head, __, body = reply.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 400 "), head
+                assert "Content-Length" in json.loads(body)["error"]
+            # The server is still healthy afterwards.
+            assert HTTPTransport(endpoint).health()["status"] == "ok"
 
     def test_unreachable_server_is_a_transport_error(self):
         # A port nothing listens on: connection refused, not a hang.

@@ -343,30 +343,131 @@ class TestConcurrency:
         runtime.shutdown()
         assert not runtime.background_running
 
+    def test_refresh_loop_survives_failing_ticks(self):
+        import time
+
+        workload = hiring.workload()
+        sim, runtime = _open_runtime(workload, cases=2)
+        runtime.open()
+        real_sync = runtime._sync_locked
+        failing = threading.Event()
+        failing.set()
+
+        def flaky_sync():
+            if failing.is_set():
+                raise OSError("transient store error")
+            return real_sync()
+
+        runtime._sync_locked = flaky_sync
+
+        def wait_for(predicate):
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                if predicate():
+                    return True
+                time.sleep(0.01)
+            return False
+
+        runtime.start_background(interval=0.01)
+        # Failing ticks are counted and surfaced, not fatal.
+        assert wait_for(lambda: runtime.stats()["refresh_errors"] >= 2)
+        assert runtime.health()["status"] == "degraded"
+        stats = runtime.stats()
+        assert stats["background_running"]
+        assert stats["last_refresh_error"] == (
+            "OSError: transient store error"
+        )
+        polls = stats["polls"]
+        # The next good tick clears the degraded state.
+        failing.clear()
+        assert wait_for(lambda: runtime.stats()["polls"] > polls)
+        assert wait_for(lambda: runtime.health()["status"] == "ok")
+        runtime.ingest(_event_stream(workload, cases=1))
+        assert _served_payloads(runtime) == _cold_sweep_payloads(sim)
+        runtime.shutdown()
+        assert not runtime.background_running
+        assert runtime.health()["status"] == "stopped"
+
+    def test_health_and_stats_do_not_wait_for_the_global_lock(
+        self, tmp_path
+    ):
+        workload = hiring.workload()
+        store = ProvenanceStore(
+            model=workload.build_model(),
+            backend=SQLiteBackend(
+                str(tmp_path / "busy.db"), threadsafe=True
+            ),
+        )
+        sim = workload.attach(store)
+        runtime = ComplianceRuntime.from_simulation(
+            sim, workload=workload, owns_store=True
+        )
+        runtime.open()
+        runtime.ingest(_event_stream(workload, cases=2))
+        held = threading.Event()
+        release = threading.Event()
+
+        def hold_global_lock():
+            # Stands in for a long refresh or snapshot.
+            with runtime._lock:
+                held.set()
+                release.wait(30.0)
+
+        holder = threading.Thread(target=hold_global_lock)
+        holder.start()
+        assert held.wait(10.0)
+        answers = {}
+
+        def probe():
+            answers["health"] = runtime.health()
+            answers["stats"] = runtime.stats()
+
+        prober = threading.Thread(target=probe, daemon=True)
+        try:
+            prober.start()
+            prober.join(5.0)
+            assert not prober.is_alive(), "stats/health waited on the lock"
+        finally:
+            release.set()
+            holder.join()
+        assert answers["health"]["status"] == "ok"
+        assert answers["stats"]["ingest_batches"] == 1
+        assert len(answers["stats"]["lanes"]) == 1
+        runtime.shutdown()
+
 
 class TestShardedLanes:
-    """The sharded runtime: per-shard ingest lanes + the verdict cache.
+    """The lane runtime: one ingest lane per shard + the verdict cache.
 
     Same contract as everywhere else — served verdicts byte-identical to
     a cold sweep — but now under lane-parallel writers, mid-stream
-    snapshots, simulated lane crashes, and cache hits.
+    snapshots, simulated lane crashes, and cache hits.  Runs over a
+    4-shard store here and over a plain single-file store (the 1-shard
+    case) in :class:`TestSingleShardLanes`: the runtime has one shape.
     """
 
     SHARDS = 4
+    WRITERS = 4
 
-    def _sharded_memory_runtime(self, workload, shards=SHARDS):
-        backend = ShardedBackend(
-            [MemoryBackend() for __ in range(shards)]
+    def _memory_backend(self):
+        if self.SHARDS == 1:
+            return MemoryBackend()
+        return ShardedBackend(
+            [MemoryBackend() for __ in range(self.SHARDS)]
         )
-        sim, runtime = _open_runtime(workload, backend=backend)
-        return sim, runtime
 
-    def _attach_sharded(self, workload, db, shards=SHARDS):
+    def _sqlite_backend(self, db):
+        if self.SHARDS == 1:
+            return SQLiteBackend(db, threadsafe=True)
+        return ShardedBackend.for_sqlite(db, self.SHARDS, threadsafe=True)
+
+    def _memory_runtime(self, workload):
+        return _open_runtime(workload, backend=self._memory_backend())
+
+    def _attach_sqlite(self, workload, db):
         store = ProvenanceStore(
             model=workload.build_model(),
-            backend=ShardedBackend.for_sqlite(
-                db, shards, threadsafe=True
-            ),
+            backend=self._sqlite_backend(db),
         )
         sim = workload.attach(store)
         runtime = ComplianceRuntime.from_simulation(
@@ -376,22 +477,19 @@ class TestShardedLanes:
 
     def test_memory_shards_share_children_without_forking(self):
         workload = hiring.workload()
-        sim, runtime = self._sharded_memory_runtime(workload)
+        sim, runtime = self._memory_runtime(workload)
         runtime.open()
-        assert runtime.sharded
         assert runtime.lane_count == self.SHARDS
-        # Sharded runtimes expose per-lane stats, no single recorder.
-        assert runtime.recorder is None
         assert len(runtime.stats()["lanes"]) == self.SHARDS
         runtime.shutdown()
 
     def test_lane_parallel_ingest_matches_cold_sweep(self):
-        """N threads × N shards, with a mid-stream snapshot: parity."""
+        """WRITERS threads over SHARDS lanes, mid-stream snapshot: parity."""
         workload = hiring.workload()
-        sim, runtime = self._sharded_memory_runtime(workload)
+        sim, runtime = self._memory_runtime(workload)
         runtime.open()
         events = _event_stream(workload, cases=12, seed=29)
-        writers = self.SHARDS
+        writers = self.WRITERS
         trace_ids = sorted({event.app_id for event in events})
         owner = {
             trace: index % writers
@@ -440,7 +538,7 @@ class TestShardedLanes:
 
     def test_verdict_read_cache_hits_until_ingest_invalidates(self):
         workload = hiring.workload()
-        sim, runtime = self._sharded_memory_runtime(workload)
+        sim, runtime = self._memory_runtime(workload)
         runtime.open()
         runtime.ingest(_event_stream(workload, cases=3))
         first = _served_payloads(runtime)
@@ -467,13 +565,13 @@ class TestShardedLanes:
         workload = hiring.workload()
         events = _event_stream(workload, cases=6)
 
-        sim1, first = self._attach_sharded(workload, db)
+        sim1, first = self._attach_sqlite(workload, db)
         first.open()
-        assert first.sharded
+        assert first.lane_count == self.SHARDS
         first.ingest(events)
         first.shutdown()  # folds lanes, snapshots, closes shard files
 
-        sim2, second = self._attach_sharded(workload, db)
+        sim2, second = self._attach_sqlite(workload, db)
         report = second.open()
         # The snapshot's cursor covered every lane-committed row.
         assert report.restored
@@ -495,7 +593,7 @@ class TestShardedLanes:
         workload = hiring.workload()
         events = _event_stream(workload, cases=8, seed=17)
 
-        sim1, first = self._attach_sharded(workload, db)
+        sim1, first = self._attach_sqlite(workload, db)
         first.open()
         plan = FaultPlan(seed=5).crash_at(
             "sharded.append.shard0", occurrence=2
@@ -506,15 +604,23 @@ class TestShardedLanes:
                     first.ingest(events[start:start + 5])
         # Simulated process death: abandon the runtime, no shutdown.
 
-        sim2, second = self._attach_sharded(workload, db)
+        sim2, second = self._attach_sqlite(workload, db)
         report = second.open()
-        assert second.sharded
+        assert second.lane_count == self.SHARDS
         # Whatever survived the crash is clean, evaluable state.
         assert report.traces >= 0
         second.ingest(events)  # full replay; dedup keeps it idempotent
         second.sync()
         assert _served_payloads(second) == _cold_sweep_payloads(sim2)
         second.shutdown()
+
+
+class TestSingleShardLanes(TestShardedLanes):
+    """The same lane contract over a plain (one-shard) store: one lane,
+    a forked SQLite handle or the shared memory backend, and the
+    ``sharded.append.shard0`` crash point."""
+
+    SHARDS = 1
 
 
 class TestTransportRecorder:

@@ -18,12 +18,14 @@ of globally order-sensitive assertions relax to the per-trace contract
 for the multi-shard kinds.
 """
 
+import threading
+
 import pytest
 
 from repro.controls.deployment import ControlDeployment
 from repro.controls.evaluator import ComplianceEvaluator
 from repro.errors import BackendError, DuplicateRecordId, RecordNotFound
-from repro.faults import FaultPlan, FaultyBackend
+from repro.faults import FaultPlan, FaultyBackend, active_plan
 from repro.model.builder import ModelBuilder
 from repro.model.records import DataRecord, RecordClass, RelationRecord
 from repro.processes import hiring
@@ -256,6 +258,41 @@ class TestSQLiteSpecifics:
             assert "D1-App01" in store
             assert store.get("D1-App01").get("type") == "new"
             assert len(store) == 3
+        store.close()
+
+    def test_threadsafe_flush_keeps_an_append_made_mid_commit(self):
+        # A lock-free reader (the service's stats/health) may flush a
+        # handle another thread appends to.  Pause a flush between its
+        # INSERT and COMMIT and append from a second thread: the row must
+        # survive the flush clearing its buffer.
+        backend = SQLiteBackend(":memory:", threadsafe=True)
+        store = ProvenanceStore(backend=backend)
+        first, second = sample_records("App01")[:2]
+        store.append(first)
+        mid_flush = threading.Event()
+        appended = threading.Event()
+
+        class PauseMidFlush:
+            def reached_point(self, point):
+                if point == "sqlite.flush.before_commit":
+                    mid_flush.set()
+                    # Without the buffer lock the append lands now; with
+                    # it, the append waits for this flush to finish.
+                    appended.wait(0.5)
+
+        def append_mid_flush():
+            mid_flush.wait(10.0)
+            store.append(second)
+            appended.set()
+
+        writer = threading.Thread(target=append_mid_flush)
+        writer.start()
+        with active_plan(PauseMidFlush()):
+            backend.flush()
+        writer.join()
+        assert [row.record_id for row in backend.iter_rows()] == [
+            first.record_id, second.record_id
+        ]
         store.close()
 
     def test_model_typed_attributes_after_reopen(self, tmp_path):
