@@ -6,10 +6,19 @@ the repeated-sweep cost.  This bench measures that steady state on the
 hiring workload for the sweep mechanisms stacked in
 :class:`~repro.controls.evaluator.ComplianceEvaluator`:
 
-- **interpret, rebuilt contexts** — the pre-compilation baseline: AST
-  interpretation, every sweep rebuilds every trace graph,
-- **interpret, shared contexts** — per-trace frames cached across sweeps,
-- **compiled, shared contexts** — closure-codegen rule execution on top.
+- **interpret, rebuilt contexts** — the pre-compilation baseline: the
+  :func:`~repro.controls.evaluator.cold_sweep` oracle with an
+  interpreting engine, so every sweep rebuilds every trace graph,
+- **interpret, shared contexts** — per-trace frames cached across sweeps
+  (a default evaluator whose engine is swapped for the interpreter),
+- **compiled, shared contexts** — closure-codegen rule execution on top
+  (the production evaluator).
+
+The shared-context rows call ``materializer.invalidate_all()`` before
+each sweep: it dirties every (control, trace) pair but keeps the frames,
+so every sweep re-evaluates every pair.  Verdict memoization (which would
+make warm re-sweeps near-free) is measured separately in
+bench_incremental_vs_sweep.
 
 Every mode must produce identical compliance rows — the sweep mechanisms
 change cost, never semantics — and the compiled+shared steady state must
@@ -23,7 +32,8 @@ Benchmarked operation: one warm compiled+shared full sweep.
 import os
 import time
 
-from repro.controls.evaluator import ComplianceEvaluator
+from repro.brms.engine import RuleEngine
+from repro.controls.evaluator import ComplianceEvaluator, cold_sweep
 from repro.processes import hiring
 from repro.processes.violations import ViolationPlan
 from repro.reporting.tables import render_table
@@ -57,23 +67,31 @@ def _normalize(results):
     ]
 
 
-def _sweep_times(sim, execution_mode, share_contexts):
-    # incremental=False: this bench prices the *evaluation* mechanisms, so
-    # every sweep must actually re-evaluate every pair.  Verdict
-    # memoization (which would make warm re-sweeps near-free) is measured
-    # separately in bench_incremental_vs_sweep.
-    evaluator = ComplianceEvaluator(
-        sim.store, sim.xom, sim.vocabulary,
-        observable_types=sim.observable_types,
-        execution_mode=execution_mode,
-        share_contexts=share_contexts,
-        incremental=False,
+def _sweep_times(sim, execution_mode, shared):
+    engine = RuleEngine(
+        sim.xom, sim.vocabulary, execution_mode=execution_mode
     )
+    if shared:
+        evaluator = ComplianceEvaluator(
+            sim.store, sim.xom, sim.vocabulary,
+            observable_types=sim.observable_types,
+        )
+        evaluator.engine = engine
+
+        def sweep():
+            evaluator.materializer.invalidate_all()
+            return evaluator.run(sim.controls)
+    else:
+        def sweep():
+            return cold_sweep(
+                sim.store, engine, sim.controls,
+                observable_types=sim.observable_types,
+            )
     times = []
     results = None
     for __ in range(SWEEPS):
         start = time.perf_counter()
-        results = evaluator.run(sim.controls)
+        results = sweep()
         times.append(time.perf_counter() - start)
     return times, results
 
@@ -87,8 +105,8 @@ def test_bal_execution_modes(benchmark, artifact):
 
     measured = []
     reference = None
-    for label, execution_mode, share_contexts in MODES:
-        times, results = _sweep_times(sim, execution_mode, share_contexts)
+    for label, execution_mode, shared in MODES:
+        times, results = _sweep_times(sim, execution_mode, shared)
         normalized = _normalize(results)
         if reference is None:
             reference = normalized
@@ -144,7 +162,11 @@ def test_bal_execution_modes(benchmark, artifact):
     warm = ComplianceEvaluator(
         sim.store, sim.xom, sim.vocabulary,
         observable_types=sim.observable_types,
-        incremental=False,
     )
     warm.run(sim.controls)
-    benchmark(lambda: warm.run(sim.controls))
+
+    def warm_sweep():
+        warm.materializer.invalidate_all()
+        return warm.run(sim.controls)
+
+    benchmark(warm_sweep)

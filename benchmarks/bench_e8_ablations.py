@@ -21,6 +21,7 @@ graph, not the raw rows, is what controls see.
 Benchmarked operation: the indexed compliance pass (the default config).
 """
 
+from repro.brms.engine import RuleEngine
 from repro.controls.evaluator import ComplianceEvaluator
 from repro.metrics.detection import verdict_agreement
 from repro.metrics.timing import Stopwatch
@@ -44,8 +45,9 @@ def _simulate(indexed=True, cache=True, seed=77):
 
 
 def _timed_pass(sim, repeats=3, execution_mode="compiled"):
-    evaluator = ComplianceEvaluator(
-        sim.store, sim.xom, sim.vocabulary, execution_mode=execution_mode
+    evaluator = ComplianceEvaluator(sim.store, sim.xom, sim.vocabulary)
+    evaluator.engine = RuleEngine(
+        sim.xom, sim.vocabulary, execution_mode=execution_mode
     )
     watch = Stopwatch()
     results = None

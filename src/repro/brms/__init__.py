@@ -31,7 +31,7 @@ from repro.brms.bom import (
 )
 from repro.brms.verbalization import Verbalizer
 from repro.brms.vocabulary import Vocabulary
-from repro.brms.engine import RuleContext, RuleEngine, RuleOutcome, RuleVerdict
+from repro.brms.engine import RuleEngine, RuleOutcome, RuleVerdict
 from repro.brms.repository import RuleArtifact, RuleRepository, RuleState
 from repro.brms.profiles import (
     DEFAULT_PROFILE,
@@ -51,7 +51,6 @@ __all__ = [
     "ExecutableObjectModel",
     "MemberKind",
     "RuleArtifact",
-    "RuleContext",
     "RuleEngine",
     "RuleOutcome",
     "RuleRepository",

@@ -141,12 +141,13 @@ class Comparison(Node):
         return f"{self.left.render()} {keyword} {self.right.render()}"
 
 
-def _render_bullet(condition: "Node") -> str:
-    """Render one bullet of a condition block.
+def _render_nested(condition: "Node") -> str:
+    """Render a bullet of a block, or an operand of a flat ``and``/``or``.
 
-    A nested block must be parenthesized: bullet lists carry no
-    indentation, so an unparenthesized inner block would greedily swallow
-    the outer block's remaining bullets on re-parse.
+    A block in either position must be parenthesized: bullet lists carry
+    no indentation and no terminator, so a bare block would greedily
+    swallow whatever follows it on re-parse — the outer block's remaining
+    bullets, or the trailing ``and <cond>`` of a flat conjunction.
     """
     rendered = condition.render()
     if isinstance(condition, (And, Or)) and condition.block:
@@ -164,12 +165,12 @@ class And(Node):
     def render(self) -> str:
         if self.block:
             bullets = " ".join(
-                f"- {_render_bullet(c)} ," for c in self.conditions
+                f"- {_render_nested(c)} ," for c in self.conditions
             ).rstrip(" ,")
             return (
                 "all of the following conditions are true : " + bullets
             )
-        return " and ".join(c.render() for c in self.conditions)
+        return " and ".join(_render_nested(c) for c in self.conditions)
 
 
 @dataclass(frozen=True)
@@ -182,12 +183,12 @@ class Or(Node):
     def render(self) -> str:
         if self.block:
             bullets = " ".join(
-                f"- {_render_bullet(c)} ," for c in self.conditions
+                f"- {_render_nested(c)} ," for c in self.conditions
             ).rstrip(" ,")
             return (
                 "any of the following conditions are true : " + bullets
             )
-        return " or ".join(c.render() for c in self.conditions)
+        return " or ".join(_render_nested(c) for c in self.conditions)
 
 
 @dataclass(frozen=True)

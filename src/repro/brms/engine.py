@@ -79,10 +79,6 @@ class RuleOutcome:
         return [rid for rid in self.bindings.values() if rid is not None]
 
 
-# alias kept for the public API surface
-RuleContext = EvalContext
-
-
 EXECUTION_MODES = ("compiled", "interpret")
 
 

@@ -143,22 +143,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_workload_args(simulate)
 
-    def add_evaluation_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--execution-mode", choices=("compiled", "interpret"),
-            default="compiled",
-            help=(
-                "rule execution back end: 'compiled' lowers each control "
-                "to Python closures once (fast, the default); 'interpret' "
-                "walks the AST every evaluation (the reference semantics)"
-            ),
-        )
-
     check = sub.add_parser(
         "check", help="simulate, evaluate controls, print the dashboard"
     )
     add_workload_args(check)
-    add_evaluation_args(check)
     check.add_argument(
         "--exceptions-only", action="store_true",
         help="print only the violation report",
@@ -181,11 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     add_workload_args(watch)
-    watch.add_argument(
-        "--execution-mode", choices=("compiled", "interpret"),
-        default="compiled",
-        help="rule execution back end (see 'check')",
-    )
     watch.add_argument(
         "--interval", type=float, default=1.0, metavar="SECONDS",
         help="poll interval between change-feed syncs",
@@ -210,11 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # A server usually fronts an existing --db; an empty store starts
     # empty and fills from /ingest rather than self-simulating.
     serve.set_defaults(cases=0)
-    serve.add_argument(
-        "--execution-mode", choices=("compiled", "interpret"),
-        default="compiled",
-        help="rule execution back end (see 'check')",
-    )
     serve.add_argument(
         "--host", default="127.0.0.1",
         help="bind address (default: loopback only)",
@@ -248,7 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "report", help="simulate, evaluate, and print a full audit report"
     )
     add_workload_args(report)
-    add_evaluation_args(report)
 
     vocabulary = sub.add_parser(
         "vocabulary", help="print the generated business vocabulary"
@@ -399,7 +376,6 @@ def cmd_check(args, out) -> int:
         evaluator = ComplianceEvaluator(
             sim.store, sim.xom, sim.vocabulary,
             observable_types=sim.observable_types,
-            execution_mode=args.execution_mode,
         )
         if args.incremental:
             materializer = evaluator.materializer
@@ -449,9 +425,7 @@ def cmd_watch(args, out) -> int:
     from repro.service import ComplianceRuntime
 
     __, __, sim = _simulate(args)
-    runtime = ComplianceRuntime.from_simulation(
-        sim, execution_mode=args.execution_mode, owns_store=True
-    )
+    runtime = ComplianceRuntime.from_simulation(sim, owns_store=True)
     try:
         report = runtime.open()
         print(
@@ -501,8 +475,7 @@ def cmd_serve(args, out) -> int:
 
     __, workload, sim = _simulate(args, threadsafe=True)
     runtime = ComplianceRuntime.from_simulation(
-        sim, workload=workload,
-        execution_mode=args.execution_mode, owns_store=True,
+        sim, workload=workload, owns_store=True
     )
     report = runtime.open()
     print(
@@ -601,7 +574,6 @@ def cmd_report(args, out) -> int:
         evaluator = ComplianceEvaluator(
             sim.store, sim.xom, sim.vocabulary,
             observable_types=sim.observable_types,
-            execution_mode=args.execution_mode,
         )
         results = evaluator.run(sim.controls)
         builder = AuditReportBuilder(sim.store, sim.controls)

@@ -29,7 +29,6 @@ from repro.controls.evaluator import ComplianceEvaluator
 from repro.controls.materializer import VerdictMaterializer, VerdictTransition
 from repro.controls.deployment import ControlDeployment
 from repro.controls.dashboard import ComplianceDashboard
-from repro.controls.autodeploy import AutoSpecializer, ParameterBinding
 from repro.controls.patterns import (
     PatternVerifier,
     StructuralControl,
@@ -37,7 +36,6 @@ from repro.controls.patterns import (
 )
 
 __all__ = [
-    "AutoSpecializer",
     "ComplianceDashboard",
     "ComplianceEvaluator",
     "ComplianceResult",
@@ -46,7 +44,6 @@ __all__ = [
     "ControlBinder",
     "ControlDeployment",
     "InternalControl",
-    "ParameterBinding",
     "PatternVerifier",
     "StructuralControl",
     "VerdictMaterializer",

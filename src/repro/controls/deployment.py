@@ -60,7 +60,6 @@ class ControlDeployment:
         bind_results: bool = True,
         observable_types: Optional[Set[str]] = None,
         immediate: bool = True,
-        execution_mode: str = "compiled",
     ) -> None:
         """Args:
             immediate: when True (default), every relevant append re-checks
@@ -68,21 +67,18 @@ class ControlDeployment:
                 False, appends only mark (control, trace) pairs dirty and
                 :meth:`flush` evaluates each dirty pair once — micro-batched
                 freshness at a fraction of the evaluations (experiment E5).
-            execution_mode: rule execution back end
-                (see :class:`~repro.brms.engine.RuleEngine`).  Re-checks
-                reuse the engine's per-rule compiled closures, so a deployed
-                control is lowered once and re-checked by direct calls.
+                Re-checks reuse the engine's per-rule compiled closures, so
+                a deployed control is lowered once and re-checked by direct
+                calls.
         """
         self.store = store
         self.vocabulary = vocabulary
         self.evaluator = ComplianceEvaluator(
-            store, xom, vocabulary, observable_types,
-            execution_mode=execution_mode,
+            store, xom, vocabulary, observable_types
         )
         # The deployment is a view over the evaluator's materialized
         # verdict table; binder artifacts are invisible to dirty tracking.
         self.materializer = self.evaluator.materializer
-        assert self.materializer is not None
         self.materializer.ignore = _is_control_artifact
         self.materializer.subscribe(self._on_transition)
         self.binder = ControlBinder(store) if bind_results else None

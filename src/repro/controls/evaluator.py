@@ -17,13 +17,14 @@ and the evaluator's public entry points read it —
 - :meth:`check_trace` (on-demand) is a targeted refresh of one pair,
 - deployed controls subscribe to the same table's transition deltas.
 
-Underneath, two sweep-speed mechanisms stack:
+Underneath, each trace's graph and XOM wrapping are built once (a
+:class:`~repro.brms.bal.evaluate.TraceFrame`), cached, and invalidated per
+trace when the store appends records to that trace; rules run on the
+compiled :class:`~repro.brms.engine.RuleEngine`.
 
-- **shared evaluation contexts** — each trace's graph and XOM wrapping are
-  built once (a :class:`~repro.brms.bal.evaluate.TraceFrame`), cached, and
-  invalidated per trace when the store appends records to that trace,
-- **compiled rule execution** — the engine defaults to the closure-codegen
-  back end (``execution_mode="compiled"``).
+:func:`cold_sweep` is the reference oracle beside that one path: it
+rebuilds every trace graph and evaluates every pair with no caches, so
+tests, crash checks and benches compare the production table against it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from repro.controls.control import InternalControl
 from repro.controls.materializer import VerdictMaterializer
 from repro.controls.status import ComplianceResult, ComplianceStatus
 from repro.graph.build import build_trace_graph, graph_from_records
-from repro.graph.graph import ProvenanceGraph
 from repro.model.records import ProvenanceRecord
 from repro.store.store import ProvenanceStore
 
@@ -62,9 +62,10 @@ def _check_with_frame(
 ) -> ComplianceResult:
     """One (control, trace) check against a prebuilt frame.
 
-    The single code path every evaluation mode funnels through — sweeps,
-    memoized refreshes and targeted checks produce rows from exactly this
-    function, which is what makes their outputs byte-identical.
+    The single code path every check funnels through — sweeps, memoized
+    refreshes, targeted checks and :func:`cold_sweep` produce rows from
+    exactly this function, which is what makes their outputs
+    byte-identical.
     """
     outcome = engine.evaluate(
         control.compiled,
@@ -77,6 +78,35 @@ def _check_with_frame(
     result.control_name = control.name
     result.checked_at = frame.checked_at
     return result
+
+
+def cold_sweep(
+    store: ProvenanceStore,
+    engine: RuleEngine,
+    controls: Sequence[InternalControl],
+    trace_ids: Optional[Iterable[str]] = None,
+    observable_types: Optional[Set[str]] = None,
+) -> List[ComplianceResult]:
+    """The reference oracle: every (trace, control) pair from scratch.
+
+    Each trace's graph is built fresh with :func:`build_trace_graph` and
+    every control is evaluated once against it — no frame cache, no
+    verdict table.  Rows come in the canonical (trace, control) order of
+    :meth:`ComplianceEvaluator.run`, so the materialized table can be
+    compared with it row for row.  Pass an interpreting
+    :class:`~repro.brms.engine.RuleEngine` for the reference semantics.
+    """
+    ids = list(trace_ids) if trace_ids is not None else store.app_ids()
+    results: List[ComplianceResult] = []
+    for trace_id in ids:
+        frame = TraceFrame(build_trace_graph(store, trace_id))
+        for control in controls:
+            results.append(
+                _check_with_frame(
+                    engine, control, frame, None, observable_types
+                )
+            )
+    return results
 
 
 def referenced_attributes(
@@ -112,17 +142,8 @@ def referenced_attributes(
 class ComplianceEvaluator:
     """Runs controls over trace graphs built from a provenance store.
 
-    Args:
-        execution_mode: rule execution back end, ``"compiled"`` (default)
-            or ``"interpret"`` — see :class:`~repro.brms.engine.RuleEngine`.
-        share_contexts: cache per-trace evaluation frames (graph + XOM
-            wraps) across checks, invalidating per trace on store appends.
-            Disable to reproduce rebuild-every-check behaviour (the
-            execution-modes benchmark's baseline).
-        incremental: maintain the materialized verdict table
-            (:attr:`materializer`), memoizing (control, trace) verdicts
-            while their traces are clean.  Requires ``share_contexts``;
-            disable to force every ``run``/``check_trace`` to re-evaluate.
+    Frames are cached per trace and verdicts are memoized in the owned
+    :attr:`materializer`; rules run on the compiled engine.
     """
 
     def __init__(
@@ -131,16 +152,10 @@ class ComplianceEvaluator:
         xom: ExecutableObjectModel,
         vocabulary: Vocabulary,
         observable_types: Optional[Set[str]] = None,
-        execution_mode: str = "compiled",
-        share_contexts: bool = True,
-        incremental: bool = True,
     ) -> None:
         self.store = store
-        self.engine = RuleEngine(
-            xom, vocabulary, execution_mode=execution_mode
-        )
+        self.engine = RuleEngine(xom, vocabulary)
         self.observable_types = observable_types
-        self.share_contexts = share_contexts
         self._frames: Dict[str, TraceFrame] = {}
         #: trace id → the attribute projection its cached frame was built
         #: under.  Absent means the frame holds full records and serves
@@ -153,22 +168,14 @@ class ComplianceEvaluator:
         self._control_projections: Dict[
             int, Tuple[InternalControl, Optional[FrozenSet[str]]]
         ] = {}
-        #: lazy-projection policy: ``"auto"`` materializes only the
-        #: columns a sweep's controls reference when the backend can
-        #: project; ``"never"`` forces full records (oracle baseline).
-        self.projection_mode = "auto"
         #: sweeps whose frames were built from projected records.
         self.projected_sweeps = 0
         self.graph_builds = 0  # trace graphs constructed (regression metric)
-        if share_contexts:
-            # Frame invalidation must run before the materializer's dirty
-            # marking (observers fire in subscription order), so a refresh
-            # triggered by the same append sees a fresh frame.
-            store.subscribe(self._on_store_append)
-        self.materializer: Optional[VerdictMaterializer] = (
-            VerdictMaterializer(self) if share_contexts and incremental
-            else None
-        )
+        # Frame invalidation must run before the materializer's dirty
+        # marking (observers fire in subscription order), so a refresh
+        # triggered by the same append sees a fresh frame.
+        store.subscribe(self._on_store_append)
+        self.materializer = VerdictMaterializer(self)
 
     # -- context cache -------------------------------------------------------
 
@@ -182,15 +189,12 @@ class ComplianceEvaluator:
         forcing the next sweep to rebuild and re-evaluate everything."""
         self._frames.clear()
         self._frame_projection.clear()
-        if self.materializer is not None:
-            self.materializer.invalidate_all()
+        self.materializer.invalidate_all()
 
     def _projection_for(
         self, controls: Sequence[InternalControl]
     ) -> Optional[FrozenSet[str]]:
         """Union of the controls' attribute read sets; None = unbounded."""
-        if self.projection_mode == "never":
-            return None
         needed: Set[str] = set()
         for control in controls:
             key = id(control)
@@ -238,35 +242,13 @@ class ComplianceEvaluator:
         whether a cached *projected* frame suffices; a frame built here
         always holds full records.
         """
-        if self.share_contexts:
-            frame = self._cached_frame(trace_id, needed)
-            if frame is not None:
-                return frame
+        frame = self._cached_frame(trace_id, needed)
+        if frame is not None:
+            return frame
         self.graph_builds += 1
         frame = TraceFrame(build_trace_graph(self.store, trace_id))
-        if self.share_contexts:
-            self._frames[trace_id] = frame
-            self._frame_projection.pop(trace_id, None)
-        return frame
-
-    def _adopt_frame(
-        self,
-        trace_id: str,
-        graph: ProvenanceGraph,
-        projection: Optional[FrozenSet[str]] = None,
-    ) -> TraceFrame:
-        """Cache a frame around a graph the sweep already built.
-
-        *projection* must be the attribute set the graph's records were
-        actually materialized under — None for full records.
-        """
-        frame = TraceFrame(graph)
-        if self.share_contexts:
-            self._frames[trace_id] = frame
-            if projection is None:
-                self._frame_projection.pop(trace_id, None)
-            else:
-                self._frame_projection[trace_id] = projection
+        self._frames[trace_id] = frame
+        self._frame_projection.pop(trace_id, None)
         return frame
 
     def _grouped_records(
@@ -303,7 +285,7 @@ class ComplianceEvaluator:
         with a projection fast path); the cached frames remember their
         projection and rebuild if a wider read set ever shows up.
         """
-        if not self.share_contexts or not self.store.indexed:
+        if not self.store.indexed:
             return
         projection = (
             self._projection_for(controls) if controls is not None else None
@@ -318,11 +300,13 @@ class ComplianceEvaluator:
         grouped, applied = self._grouped_records(projection)
         for trace_id in missing:
             self.graph_builds += 1
-            self._adopt_frame(
-                trace_id,
-                graph_from_records(grouped.get(trace_id, ()), name=trace_id),
-                projection=applied,
+            self._frames[trace_id] = TraceFrame(
+                graph_from_records(grouped.get(trace_id, ()), name=trace_id)
             )
+            # A missing frame has no projection entry (the two are always
+            # dropped together), so only a projected build records one.
+            if applied is not None:
+                self._frame_projection[trace_id] = applied
 
     # -- raw evaluation ------------------------------------------------------
 
@@ -352,7 +336,6 @@ class ComplianceEvaluator:
         control: InternalControl,
         trace_id: str,
         parameters: Optional[Dict[str, object]] = None,
-        graph: Optional[ProvenanceGraph] = None,
         as_of: Optional[int] = None,
     ) -> ComplianceResult:
         """Check one control against one trace.
@@ -374,15 +357,12 @@ class ComplianceEvaluator:
             frame = TraceFrame(
                 build_trace_graph(self.store, trace_id, as_of=as_of)
             )
-        elif graph is not None:
-            frame = TraceFrame(graph)
-        elif self.materializer is not None and parameters is None:
+            return _check_with_frame(
+                self.engine, control, frame, parameters, self.observable_types
+            )
+        if parameters is None:
             return self.materializer.check(control, trace_id)
-        else:
-            return self.evaluate_pair(control, trace_id, parameters)
-        return _check_with_frame(
-            self.engine, control, frame, parameters, self.observable_types
-        )
+        return self.evaluate_pair(control, trace_id, parameters)
 
     def check_all_traces(
         self,
@@ -405,58 +385,13 @@ class ComplianceEvaluator:
         """Check every control against every trace; rows in (trace,
         control) order.
 
-        Incremental by default: the sweep drains the materialized table's
-        dirty pairs — traces appended to since the last sweep, plus any
-        controls never swept — and reads everything else from the table,
-        byte-identical to a cold full sweep.  A cold sweep materializes
-        all its frames from one sequential backend scan.
+        The sweep drains the materialized table's dirty pairs — traces
+        appended to since the last sweep, plus any controls never swept —
+        and reads everything else from the table, byte-identical to
+        :func:`cold_sweep`.  A first sweep materializes all its frames
+        from one sequential backend scan.
         """
-        if self.materializer is not None:
-            return self.materializer.sweep(controls, trace_ids=trace_ids)
-        results: List[ComplianceResult] = []
-        if trace_ids is None and self.store.indexed:
-            projection = self._projection_for(controls)
-            grouped = None
-            applied: Optional[FrozenSet[str]] = None
-            for trace_id in self.store.app_ids():
-                frame = (
-                    self._cached_frame(trace_id, projection)
-                    if self.share_contexts
-                    else None
-                )
-                if frame is None:
-                    if grouped is None:
-                        grouped, applied = self._grouped_records(projection)
-                    self.graph_builds += 1
-                    frame = self._adopt_frame(
-                        trace_id,
-                        graph_from_records(
-                            grouped.get(trace_id, ()), name=trace_id
-                        ),
-                        projection=applied,
-                    )
-                for control in controls:
-                    results.append(
-                        _check_with_frame(
-                            self.engine, control, frame, None,
-                            self.observable_types,
-                        )
-                    )
-        else:
-            ids = (
-                list(trace_ids) if trace_ids is not None
-                else self.store.app_ids()
-            )
-            for trace_id in ids:
-                frame = self._frame_for(trace_id)
-                for control in controls:
-                    results.append(
-                        _check_with_frame(
-                            self.engine, control, frame, None,
-                            self.observable_types,
-                        )
-                    )
-        return results
+        return self.materializer.sweep(controls, trace_ids=trace_ids)
 
     # -- reporting ------------------------------------------------------------------
 

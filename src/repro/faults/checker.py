@@ -40,7 +40,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.controls.evaluator import ComplianceEvaluator
+from repro.brms.engine import RuleEngine
+from repro.controls.evaluator import ComplianceEvaluator, cold_sweep
 from repro.errors import StoreError
 from repro.faults.backend import FaultyBackend
 from repro.faults.plan import FaultInjected, FaultPlan, SimulatedCrash
@@ -451,12 +452,14 @@ def run_schedule(
     for record in acked_records:
         if record.record_id in surviving_ids:
             oracle_store.append(record)
-    oracle_eval = ComplianceEvaluator(
-        oracle_store, scenario.xom, scenario.vocabulary,
-        share_contexts=False,
-    )
     got = _norm(recovered_eval.run(controls))
-    want = _norm(oracle_eval.run(controls))
+    want = _norm(
+        cold_sweep(
+            oracle_store,
+            RuleEngine(scenario.xom, scenario.vocabulary),
+            controls,
+        )
+    )
     if got != want:
         raise fail(
             "post-recovery sweep diverged from the never-crashed oracle "

@@ -8,8 +8,6 @@ rest of the system needs:
 - :mod:`repro.graph.graph` — the graph structure itself,
 - :mod:`repro.graph.build` — building graphs from a store (whole store or
   per trace),
-- :mod:`repro.graph.traversal` — typed navigation (follow a relation type
-  from a node, reachability),
 - :mod:`repro.graph.match` — subgraph pattern matching; "a business control
   point is a sub graph of the provenance graph" (§II.C),
 - :mod:`repro.graph.serialize` — DOT/JSON/text rendering (Figure 2).
@@ -18,7 +16,6 @@ rest of the system needs:
 from repro.graph.graph import ProvenanceGraph
 from repro.graph.build import build_graph, build_trace_graph, graph_from_records
 from repro.graph.match import EdgePattern, GraphPattern, NodePattern, match_pattern
-from repro.graph.traversal import follow, neighbors, reachable
 from repro.graph.serialize import to_dot, to_json, trace_census
 
 __all__ = [
@@ -28,11 +25,8 @@ __all__ = [
     "ProvenanceGraph",
     "build_graph",
     "build_trace_graph",
-    "follow",
     "graph_from_records",
     "match_pattern",
-    "neighbors",
-    "reachable",
     "to_dot",
     "to_json",
     "trace_census",

@@ -37,6 +37,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
 from repro.capture.events import event_from_wire
+from repro.controls.status import ComplianceStatus
 from repro.errors import ReproError, ServiceError
 from repro.service.runtime import ComplianceRuntime
 
@@ -126,10 +127,17 @@ class _RuntimeRequestHandler(BaseHTTPRequestHandler):
             elif path == "/stats":
                 self._reply(200, self.runtime.stats())
             elif path == "/verdicts":
+                status = params.get("status")
+                valid = [s.value for s in ComplianceStatus]
+                if status is not None and status not in valid:
+                    self._reply_error(
+                        400, f"status= must be one of {', '.join(valid)}"
+                    )
+                    return
                 results = self.runtime.verdicts(
                     control=params.get("control"),
                     trace=params.get("trace"),
-                    status=params.get("status"),
+                    status=status,
                 )
                 self._reply(
                     200,

@@ -129,7 +129,7 @@ class ComplianceRuntime:
 
     Args:
         store: the provenance store (usually over a durable backend).
-        xom / vocabulary / controls / observable_types / execution_mode:
+        xom / vocabulary / controls / observable_types:
             the evaluation stack, exactly as
             :class:`~repro.controls.evaluator.ComplianceEvaluator` takes
             it; *controls* is the set served and kept fresh.
@@ -150,7 +150,6 @@ class ComplianceRuntime:
         vocabulary,
         controls: Sequence[InternalControl],
         observable_types: Optional[Set[str]] = None,
-        execution_mode: str = "compiled",
         mapping=None,
         correlation_rules: Sequence = (),
         workload_name: str = "",
@@ -165,15 +164,8 @@ class ComplianceRuntime:
         self.evaluator = ComplianceEvaluator(
             store, xom, vocabulary,
             observable_types=observable_types,
-            execution_mode=execution_mode,
         )
-        materializer = self.evaluator.materializer
-        if materializer is None:
-            raise ServiceError(
-                "ComplianceRuntime requires an incremental evaluator "
-                "(share_contexts and incremental enabled)"
-            )
-        self.materializer = materializer
+        self.materializer = self.evaluator.materializer
         self._mapping = mapping
         self._correlation_rules: Sequence = list(correlation_rules)
         #: shared relation-id factory; ``next()`` is GIL-atomic, so lanes
@@ -749,7 +741,6 @@ class ComplianceRuntime:
         cls,
         sim,
         workload=None,
-        execution_mode: str = "compiled",
         owns_store: bool = False,
         **kwargs,
     ) -> "ComplianceRuntime":
@@ -772,7 +763,6 @@ class ComplianceRuntime:
             vocabulary=sim.vocabulary,
             controls=sim.controls,
             observable_types=sim.observable_types,
-            execution_mode=execution_mode,
             mapping=mapping,
             correlation_rules=correlation_rules,
             workload_name=sim.workload_name,

@@ -10,12 +10,11 @@ The physical rows live behind a pluggable storage backend
 (:mod:`repro.store.backends`): in-memory by default, SQLite (WAL, batched
 transactions, lazy decoding) for durable stores that persist across runs.
 
-Querying comes in the two styles of §II.A:
-
-- :mod:`repro.store.query` — an on-demand query frontend (filter by class,
-  APPID, entity type, attribute predicates, XPath-lite paths),
-- :mod:`repro.store.continuous` — deployed queries that "emit results in
-  real-time, feeding existing dashboard systems".
+:mod:`repro.store.query` is the on-demand query frontend of §II.A (filter
+by class, APPID, entity type, attribute predicates, XPath-lite paths).  The
+real-time style — deployed checks that "emit results in real-time, feeding
+existing dashboard systems" — subscribes to store appends through
+:meth:`ProvenanceStore.subscribe` (see :mod:`repro.controls.deployment`).
 """
 
 from repro.store.xmlcodec import decode_row, encode_row, StoredRow
@@ -36,11 +35,9 @@ from repro.store.cursor import (
 from repro.store.store import ProvenanceStore
 from repro.store.index import StoreIndex
 from repro.store.query import AttributePredicate, RecordQuery, xpath_lite
-from repro.store.continuous import ContinuousQuery, Subscription
 
 __all__ = [
     "AttributePredicate",
-    "ContinuousQuery",
     "MemoryBackend",
     "ProvenanceStore",
     "RecordQuery",
@@ -49,7 +46,6 @@ __all__ = [
     "StorageBackend",
     "StoreIndex",
     "StoredRow",
-    "Subscription",
     "VectorCursor",
     "create_backend",
     "cursor_covers",

@@ -467,7 +467,8 @@ class TestCacheConfiguration:
 
 class TestProjectedSweeps:
     def test_projected_sweep_matches_memory_verdicts(self, tmp_path):
-        from repro.controls.evaluator import ComplianceEvaluator
+        from repro.brms.engine import RuleEngine
+        from repro.controls.evaluator import ComplianceEvaluator, cold_sweep
         from repro.processes import hiring
         from repro.processes.violations import ViolationPlan
 
@@ -489,16 +490,15 @@ class TestProjectedSweeps:
             (r.control_name, r.trace_id, r.status) for r in expected
         ] == [(r.control_name, r.trace_id, r.status) for r in actual]
         # The sqlite sweep actually ran projected (hiring's controls have
-        # bounded attribute read sets), and re-running with projection
-        # off is byte-identical.
+        # bounded attribute read sets), and the full-record cold sweep
+        # is byte-identical.
         assert evaluator.projected_sweeps >= 1
-        full = ComplianceEvaluator(
-            sqlite_sim.store, sqlite_sim.xom, sqlite_sim.vocabulary
+        baseline = cold_sweep(
+            sqlite_sim.store,
+            RuleEngine(sqlite_sim.xom, sqlite_sim.vocabulary),
+            sqlite_sim.controls,
         )
-        full.projection_mode = "never"
-        baseline = full.run(sqlite_sim.controls)
         assert [
             (r.control_name, r.trace_id, r.status) for r in baseline
         ] == [(r.control_name, r.trace_id, r.status) for r in actual]
-        assert full.projected_sweeps == 0
         sqlite_sim.store.close()

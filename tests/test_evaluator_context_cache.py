@@ -5,7 +5,8 @@ objects) on *every* check — ``check_trace`` in a loop paid one
 ``build_trace_graph`` per call.  These tests pin the fix: all public
 entry points route through one frame cache, appends invalidate exactly
 the touched trace, historical (``as_of``) views bypass the cache, and
-every execution mode returns the same rows.
+the production sweep returns the rows of the ``cold_sweep`` oracle under
+both rule engines.
 """
 
 import dataclasses
@@ -13,7 +14,8 @@ import dataclasses
 import pytest
 
 import repro.controls.evaluator as evaluator_module
-from repro.controls.evaluator import ComplianceEvaluator
+from repro.brms.engine import RuleEngine
+from repro.controls.evaluator import ComplianceEvaluator, cold_sweep
 from repro.graph.build import build_trace_graph
 from repro.processes import hiring
 from repro.processes.violations import ViolationPlan
@@ -102,13 +104,6 @@ class TestCheckTraceCaching:
         evaluator.check_trace(sim.controls[1], trace_id)
         assert evaluator.graph_builds == 3
 
-    def test_explicit_graph_skips_cache(self, sim, evaluator):
-        trace_id = sim.store.app_ids()[0]
-        graph = build_trace_graph(sim.store, trace_id)
-        evaluator.check_trace(sim.controls[0], trace_id, graph=graph)
-        assert evaluator.graph_builds == 0
-
-
 class TestInvalidation:
     def test_append_invalidates_only_touched_trace(self, sim, evaluator):
         ids = sim.store.app_ids()
@@ -139,27 +134,24 @@ class TestInvalidation:
         evaluator.run(sim.controls)
         assert evaluator.graph_builds == 2 * len(sim.store.app_ids())
 
-    def test_share_contexts_off_rebuilds_every_check(self, sim):
-        rebuilding = ComplianceEvaluator(
+class TestSweepParity:
+    def test_modes_produce_identical_rows(self, sim, evaluator):
+        # The reference oracle: rebuilt graphs and the BAL interpreter.
+        interpret = RuleEngine(
+            sim.xom, sim.vocabulary, execution_mode="interpret"
+        )
+        reference = _normalize(
+            cold_sweep(
+                sim.store, interpret, sim.controls,
+                observable_types=sim.observable_types,
+            )
+        )
+        # The production path: frame cache, verdict table, compiled rules.
+        assert _normalize(evaluator.run(sim.controls)) == reference
+        # The same path with the interpreter swapped in.
+        interpreted = ComplianceEvaluator(
             sim.store, sim.xom, sim.vocabulary,
             observable_types=sim.observable_types,
-            share_contexts=False,
         )
-        trace_id = sim.store.app_ids()[0]
-        rebuilding.check_trace(sim.controls[0], trace_id)
-        rebuilding.check_trace(sim.controls[0], trace_id)
-        assert rebuilding.graph_builds == 2
-
-
-class TestSweepParity:
-    def test_modes_produce_identical_rows(self, sim):
-        def rows(**kwargs):
-            ev = ComplianceEvaluator(
-                sim.store, sim.xom, sim.vocabulary,
-                observable_types=sim.observable_types, **kwargs
-            )
-            return _normalize(ev.run(sim.controls))
-
-        reference = rows(execution_mode="interpret", share_contexts=False)
-        assert rows(execution_mode="interpret") == reference
-        assert rows(execution_mode="compiled") == reference
+        interpreted.engine = interpret
+        assert _normalize(interpreted.run(sim.controls)) == reference

@@ -1,4 +1,4 @@
-"""Unit tests for traversal and subgraph pattern matching."""
+"""Unit tests for subgraph pattern matching and graph serialization."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.graph.match import (
     NodePattern,
     match_pattern,
 )
-from repro.graph.traversal import follow, neighbors, reachable
 from repro.model.records import (
     DataRecord,
     RecordClass,
@@ -56,47 +55,6 @@ def graph():
         )
     )
     return graph
-
-
-class TestTraversal:
-    def test_follow_out(self, graph):
-        hits = follow(graph, "R1", "submitterOf")
-        assert [r.record_id for r in hits] == ["D1"]
-
-    def test_follow_in(self, graph):
-        hits = follow(graph, "D1", "submitterOf", direction="in")
-        assert [r.record_id for r in hits] == ["R1"]
-
-    def test_follow_bad_direction(self, graph):
-        with pytest.raises(ValueError):
-            follow(graph, "R1", "submitterOf", direction="sideways")
-
-    def test_neighbors(self, graph):
-        ids = {r.record_id for r in neighbors(graph, "D1")}
-        assert ids == {"R1", "D2"}
-
-    def test_reachable(self, graph):
-        assert reachable(graph, "R1") == {"D1"}
-        assert reachable(graph, "D2") == {"D1"}
-        assert reachable(graph, "D1") == set()
-
-    def test_reachable_hop_limit(self, graph):
-        graph.add_node_record(
-            DataRecord.create("D3", "App01", "candidatelist")
-        )
-        graph.add_relation_record(
-            RelationRecord.create(
-                "E3", "App01", "generates", source_id="D1", target_id="D3"
-            )
-        )
-        assert reachable(graph, "R1", max_hops=1) == {"D1"}
-        assert reachable(graph, "R1") == {"D1", "D3"}
-
-    def test_reachable_by_type(self, graph):
-        assert reachable(graph, "R1", relation_type="approvalOf") == set()
-
-    def test_reachable_unknown_node(self, graph):
-        assert reachable(graph, "ZZ") == set()
 
 
 class TestPatternValidation:

@@ -17,11 +17,12 @@ import dataclasses
 
 import pytest
 
+from repro.brms.engine import RuleEngine
 from repro.controls.authoring import ControlAuthoringTool
 from repro.controls.control import ControlSeverity
 from repro.controls.dashboard import ComplianceDashboard
 from repro.controls.deployment import ControlDeployment
-from repro.controls.evaluator import ComplianceEvaluator
+from repro.controls.evaluator import ComplianceEvaluator, cold_sweep
 from repro.controls.status import ComplianceStatus
 from repro.store.backends import SQLiteBackend
 from repro.store.cursor import cursor_total
@@ -264,13 +265,12 @@ class TestMaterializer:
         controls = tool.deployed_controls()
         incremental = ComplianceEvaluator(store, hiring_xom,
                                           hiring_vocabulary)
-        cold = ComplianceEvaluator(
-            store, hiring_xom, hiring_vocabulary, share_contexts=False
-        )
-        assert norm(incremental.run(controls)) == norm(cold.run(controls))
+        engine = RuleEngine(hiring_xom, hiring_vocabulary)
+        cold = norm(cold_sweep(store, engine, controls))
+        assert norm(incremental.run(controls)) == cold
         # Second sweep: zero evaluations, same table.
         before = incremental.materializer.refreshes
-        assert norm(incremental.run(controls)) == norm(cold.run(controls))
+        assert norm(incremental.run(controls)) == cold
         assert incremental.materializer.refreshes == before
 
     def test_snapshot_restores_within_process(
@@ -397,13 +397,12 @@ class TestDifferentialIdentity:
         self, hiring_model, hiring_xom, hiring_vocabulary, tool
     ):
         controls = tool.deployed_controls()
+        # The stateless oracle: every call is a cold evaluation.
+        engine = RuleEngine(hiring_xom, hiring_vocabulary)
         for iteration in range(200):
             rng = derive_rng(f"incremental-interleavings:{iteration}")
             store = ProvenanceStore(model=hiring_model, indexed=True)
             live = ComplianceEvaluator(store, hiring_xom, hiring_vocabulary)
-            cold = ComplianceEvaluator(
-                store, hiring_xom, hiring_vocabulary, share_contexts=False
-            )  # stateless: every call is a cold evaluation
             n_traces = rng.randrange(2, 5)
             streams = [
                 trace_stream(_variant(rng, f"App{i:02d}"))
@@ -414,14 +413,17 @@ class TestDifferentialIdentity:
                 roll = rng.random()
                 if roll < 0.06:
                     assert norm(live.run(controls)) == \
-                        norm(cold.run(controls)), f"iteration {iteration}"
+                        norm(cold_sweep(store, engine, controls)), \
+                        f"iteration {iteration}"
                 elif roll < 0.12:
                     trace_id = rng.choice(store.app_ids())
                     control = rng.choice(controls)
                     assert norm([live.check_trace(control, trace_id)]) == \
-                        norm([cold.check_trace(control, trace_id)]), \
+                        norm(cold_sweep(store, engine, [control],
+                                        trace_ids=[trace_id])), \
                         f"iteration {iteration}"
-            assert norm(live.run(controls)) == norm(cold.run(controls)), \
+            assert norm(live.run(controls)) == \
+                norm(cold_sweep(store, engine, controls)), \
                 f"iteration {iteration} (final)"
 
     def test_sqlite_reopen_interleavings_match_cold_sweeps(
@@ -473,11 +475,9 @@ class TestDifferentialIdentity:
                 t for __, t in second.materializer._dirty
             ) == {"App99"}
             got = second.run(controls)
-            cold = ComplianceEvaluator(
-                reopened, hiring_xom, hiring_vocabulary,
-                share_contexts=False,
+            cold = cold_sweep(
+                reopened, RuleEngine(hiring_xom, hiring_vocabulary), controls
             )
-            assert norm(got) == norm(cold.run(controls)), \
-                f"iteration {iteration}"
+            assert norm(got) == norm(cold), f"iteration {iteration}"
             assert second.materializer.refreshes == len(controls)
             reopened.close()

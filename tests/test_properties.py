@@ -15,7 +15,7 @@ Each property pins an invariant the rest of the system leans on:
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.brms.bal import ast
@@ -198,8 +198,35 @@ rules = st.builds(
 )
 
 
+def _zero(n):
+    return ast.Comparison(op="eq", left=ast.Literal(n), right=ast.Literal(0))
+
+
 class TestBalRenderStability:
     @given(rule=rules)
+    # A block operand of a flat "and": rendered bare, it swallowed the
+    # trailing "and 4 is 0" on re-parse.
+    @example(
+        rule=ast.Rule(
+            definitions=(),
+            condition=ast.And(
+                conditions=(
+                    ast.Or(
+                        conditions=(
+                            _zero(1),
+                            ast.And(
+                                conditions=(_zero(2), _zero(3)), block=True
+                            ),
+                        ),
+                        block=True,
+                    ),
+                    _zero(4),
+                ),
+            ),
+            then_actions=(ast.SetStatus(satisfied=True),),
+            else_actions=(),
+        )
+    )
     @settings(max_examples=120, deadline=None)
     def test_render_parse_fixpoint(self, rule):
         rendered = rule.render()

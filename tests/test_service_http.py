@@ -15,8 +15,10 @@ import urllib.request
 
 import pytest
 
+from repro.capture.events import event_to_wire
 from repro.capture.recorder import RecorderClient
 from repro.controls.evaluator import ComplianceEvaluator
+from repro.controls.status import ComplianceStatus
 from repro.processes import hiring
 from repro.processes.engine import ProcessSimulator, all_events
 from repro.processes.violations import ViolationPlan
@@ -215,6 +217,52 @@ class TestHTTPRoundtrip:
                 assert "Content-Length" in json.loads(body)["error"]
             # The server is still healthy afterwards.
             assert HTTPTransport(endpoint).health()["status"] == "ok"
+
+    def test_non_object_event_payload_is_a_json_400(self):
+        workload = hiring.workload()
+        sim = workload.simulate(cases=1, seed=2011)
+        runtime = ComplianceRuntime.from_simulation(sim, workload=workload)
+        runtime.open()
+        event = event_to_wire(_event_stream(workload, cases=1)[0])
+        with _served(runtime) as endpoint:
+            for bad in ([1], "text", 7):
+                body = json.dumps({"events": [dict(event, payload=bad)]})
+                request = urllib.request.Request(
+                    f"{endpoint}/ingest", data=body.encode("utf-8"),
+                    method="POST",
+                    headers={"Content-Type": "application/json"},
+                )
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    urllib.request.urlopen(request, timeout=30)
+                assert excinfo.value.code == 400
+                error = json.loads(excinfo.value.read())["error"]
+                assert error.startswith("malformed event: ")
+            # A fresh connection still gets answers.
+            assert HTTPTransport(endpoint).health()["status"] == "ok"
+
+    def test_unknown_status_filter_is_a_json_400(self):
+        workload = hiring.workload()
+        sim = workload.simulate(cases=2, seed=2011)
+        runtime = ComplianceRuntime.from_simulation(sim)
+        runtime.open()
+        with _served(runtime) as endpoint:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(
+                    f"{endpoint}/verdicts?status=bogus", timeout=30
+                )
+            assert excinfo.value.code == 400
+            error = json.loads(excinfo.value.read())["error"]
+            for status in ComplianceStatus:
+                assert status.value in error
+            # A valid status still filters.
+            reply = json.loads(
+                urllib.request.urlopen(
+                    f"{endpoint}/verdicts?status=violated", timeout=30
+                ).read()
+            )
+            assert all(
+                entry["status"] == "violated" for entry in reply["verdicts"]
+            )
 
     def test_unreachable_server_is_a_transport_error(self):
         # A port nothing listens on: connection refused, not a hang.
