@@ -22,22 +22,36 @@ bar drops to "not slower", since fixed per-sweep overheads swamp ratios at
 30 traces.
 
 Benchmarked operation: one incremental re-check after a one-trace append.
+
+A second case appends late records to **5 existing traces** of a 4-shard
+SQLite store reopened from disk (so no record sits in a decode cache).
+Two or more dirty traces are primed in one fetch, and that fetch must be
+scoped: the case asserts the rows decoded during the re-check are at
+most the dirty traces' rows, and that the final table equals
+:func:`~repro.controls.evaluator.cold_sweep`.
 """
 
 import dataclasses
 import os
 import time
 
-from repro.controls.evaluator import ComplianceEvaluator
+from repro.controls.evaluator import ComplianceEvaluator, cold_sweep
 from repro.model.records import RelationRecord
 from repro.processes import hiring
 from repro.processes.violations import ViolationPlan
 from repro.reporting.tables import render_table
+from repro.store.backends import ShardedBackend
+from repro.store.columnar import ColumnarCodec
+from repro.store.query import RecordQuery
+from repro.store.store import ProvenanceStore
+from repro.store.xmlcodec import XmlCodec
 
 TINY = os.environ.get("BAL_BENCH_SCALE") == "tiny"
 CASES = 30 if TINY else 300
 ROUNDS = 5
 MIN_SPEEDUP = 1.0 if TINY else 5.0
+DIRTY_PER_ROUND = 5
+SHARDS = 4
 
 
 def _normalize(results):
@@ -175,3 +189,125 @@ def test_incremental_vs_sweep(benchmark, artifact):
     )
 
     benchmark(lambda: incremental.run(sim.controls))
+
+
+def _count_decodes(monkeypatch):
+    """Count row decodes on both codecs (columnar payload and XML)."""
+    calls = {"n": 0}
+    for owner, name in (
+        (ColumnarCodec, "decode_cols"),
+        (XmlCodec, "decode_row"),
+    ):
+        real = getattr(owner, name)
+
+        def counting(*args, _real=real, **kwargs):
+            calls["n"] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_five_trace_append_on_sharded_sqlite(tmp_path, monkeypatch, artifact):
+    path = str(tmp_path / "resweep.db")
+    sim = hiring.workload().simulate(
+        cases=CASES,
+        seed=7,
+        violations=ViolationPlan.uniform(list(hiring.VIOLATION_KINDS), 0.2),
+        backend=ShardedBackend.for_sqlite(path, SHARDS),
+    )
+    sim.store.close()
+    store = ProvenanceStore(
+        model=sim.model, backend=ShardedBackend.for_sqlite(path, SHARDS)
+    )
+    evaluator = ComplianceEvaluator(
+        store, sim.xom, sim.vocabulary,
+        observable_types=sim.observable_types,
+    )
+    evaluator.run(sim.controls)
+    trace_ids = store.app_ids()
+    stride = len(trace_ids) // (ROUNDS * DIRTY_PER_ROUND)
+
+    rows = []
+    for round_no in range(ROUNDS):
+        first = round_no * DIRTY_PER_ROUND
+        dirty = [
+            trace_ids[(first + k) * stride]
+            for k in range(DIRTY_PER_ROUND)
+        ]
+        with store.bulk():
+            for trace_id in dirty:
+                template = max(
+                    store.select(RecordQuery(app_id=trace_id)),
+                    key=lambda r: r.timestamp,
+                )
+                store.append(
+                    dataclasses.replace(
+                        template,
+                        record_id=f"{template.record_id}::late{round_no}",
+                        timestamp=template.timestamp + 1000,
+                    )
+                )
+        dirty_rows = sum(
+            len(store.select(RecordQuery(app_id=t))) for t in dirty
+        )
+        evals_before = evaluator.materializer.refreshes
+        with monkeypatch.context() as patch:
+            decodes = _count_decodes(patch)
+            start = time.perf_counter()
+            evaluator.run(sim.controls)
+            seconds = time.perf_counter() - start
+        evals = evaluator.materializer.refreshes - evals_before
+        assert evals == DIRTY_PER_ROUND * len(sim.controls)
+        assert decodes["n"] <= dirty_rows, (
+            f"re-check after appends to {DIRTY_PER_ROUND} traces decoded "
+            f"{decodes['n']} rows; the dirty traces hold {dirty_rows}"
+        )
+        rows.append(
+            (
+                round_no,
+                len(store),
+                dirty_rows,
+                decodes["n"],
+                evals,
+                f"{seconds * 1000:.2f}ms",
+            )
+        )
+
+    reference = cold_sweep(
+        store, evaluator.engine, sim.controls,
+        observable_types=sim.observable_types,
+    )
+    assert _normalize(evaluator.run(sim.controls)) == _normalize(reference)
+
+    columns = (
+        "round",
+        "store rows",
+        "dirty-trace rows",
+        "rows decoded",
+        "pairs evaluated",
+        "re-check",
+    )
+    table = render_table(
+        columns,
+        rows,
+        title=(
+            f"Re-check after late appends to {DIRTY_PER_ROUND} traces — "
+            f"hiring, {CASES} traces, {SHARDS}-shard SQLite, "
+            f"{len(sim.controls)} controls"
+        ),
+    )
+    artifact(
+        "Incremental vs sweep: five-trace append, sharded SQLite",
+        table,
+        data={
+            "cases": CASES,
+            "shards": SHARDS,
+            "dirty_per_round": DIRTY_PER_ROUND,
+            "rounds": ROUNDS,
+            "scale": "tiny" if TINY else "full",
+            "columns": list(columns),
+            "rows": [list(row) for row in rows],
+        },
+    )
+    store.close()

@@ -252,36 +252,43 @@ class ComplianceEvaluator:
         return frame
 
     def _grouped_records(
-        self, projection: Optional[FrozenSet[str]]
+        self,
+        trace_ids: Sequence[str],
+        projection: Optional[FrozenSet[str]],
     ) -> Tuple[Dict[str, List[ProvenanceRecord]], Optional[FrozenSet[str]]]:
-        """One-scan trace grouping, projected when the backend can.
+        """The records of *trace_ids*, grouped by trace, projected when
+        the backend can.
 
         Returns ``(grouped, applied)`` where *applied* is the projection
         the records were actually materialized under (None = full).
         """
         if projection is not None:
-            grouped = self.store.records_by_trace_projected(projection)
+            grouped = self.store.records_by_trace_projected(
+                projection, trace_ids
+            )
             if grouped is not None:
                 self.projected_sweeps += 1
                 return grouped, projection
-        return self.store.records_by_trace(), None
+        return self.store.records_by_trace(trace_ids), None
 
     def prime_frames(
         self,
         trace_ids: Sequence[str],
         controls: Optional[Sequence[InternalControl]] = None,
     ) -> None:
-        """Build the missing frames among *trace_ids* from one store scan.
+        """Build the missing frames among *trace_ids* from one scoped fetch.
 
-        The sweep-friendly path: materializing many traces costs one
-        sequential backend pass instead of one indexed point-lookup chain
-        per trace.  A single missing frame keeps the per-trace query path
-        (O(trace) on an indexed store), and so does an unindexed store:
-        with the E8 ablation knob off, every evaluation is *supposed* to
-        pay a table scan.
+        Cost: O(rows of the missing traces), whatever the store's size —
+        the fetch asks the backend for exactly the traces without a
+        usable cached frame (an indexed ``appid IN (...)`` on SQLite,
+        home shards only on a sharded store).  The cold start-up sweep
+        takes the same path with every trace missing.  A single missing
+        frame keeps the per-trace query path (O(trace) on an indexed
+        store), and so does an unindexed store: with the E8 ablation knob
+        off, every evaluation is *supposed* to pay a table scan.
 
         When *controls* is given and their attribute read set is bounded,
-        the scan materializes only the referenced columns (on backends
+        the fetch materializes only the referenced columns (on backends
         with a projection fast path); the cached frames remember their
         projection and rebuild if a wider read set ever shows up.
         """
@@ -297,7 +304,7 @@ class ComplianceEvaluator:
         ]
         if len(missing) < 2:
             return
-        grouped, applied = self._grouped_records(projection)
+        grouped, applied = self._grouped_records(missing, projection)
         for trace_id in missing:
             self.graph_builds += 1
             self._frames[trace_id] = TraceFrame(
@@ -388,8 +395,8 @@ class ComplianceEvaluator:
         The sweep drains the materialized table's dirty pairs — traces
         appended to since the last sweep, plus any controls never swept —
         and reads everything else from the table, byte-identical to
-        :func:`cold_sweep`.  A first sweep materializes all its frames
-        from one sequential backend scan.
+        :func:`cold_sweep`.  A sweep fetches the rows of exactly the
+        traces it re-evaluates (:meth:`prime_frames`).
         """
         return self.materializer.sweep(controls, trace_ids=trace_ids)
 

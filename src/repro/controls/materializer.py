@@ -389,9 +389,10 @@ class VerdictMaterializer:
                     controls=controls,
                 )
             except StoreError:
-                # An unreadable row anywhere poisons the shared scan;
-                # fall through to per-pair refreshes, which confine the
-                # failure to the affected trace's verdicts.
+                # An unreadable row in one stale trace poisons the shared
+                # fetch; fall through to per-pair refreshes, which confine
+                # the failure to the affected trace's verdicts.  Rows of
+                # traces outside the stale set are never read.
                 pass
             for control, trace_id in stale:
                 self._refresh_pair(control, trace_id)

@@ -32,7 +32,16 @@ exactly what would have survived on disk.
 from __future__ import annotations
 
 import shutil
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Collection,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.errors import BackendError, RecordNotFound
 from repro.faults.plan import FaultPlan, SimulatedCrash
@@ -240,23 +249,45 @@ class FaultyBackend(StorageBackend):
     def iter_records(self) -> Iterator[ProvenanceRecord]:
         self._check_alive()
         yield from self.inner.iter_records()
-        for row, record, __ in list(self._staged):
-            yield record if record is not None else self._decode(row)
+        yield from self._staged_records(None)
+
+    def iter_trace_records(
+        self, app_ids: Collection[str]
+    ) -> Iterator[ProvenanceRecord]:
+        self._check_alive()
+        wanted = frozenset(app_ids)
+        yield from self.inner.iter_trace_records(wanted)
+        yield from self._staged_records(wanted)
 
     def iter_records_projected(
-        self, attributes: FrozenSet[str]
+        self,
+        attributes: FrozenSet[str],
+        app_ids: Optional[Collection[str]] = None,
     ) -> Optional[Iterator[ProvenanceRecord]]:
         self._check_alive()
-        inner = self.inner.iter_records_projected(attributes)
+        wanted = frozenset(app_ids) if app_ids is not None else None
+        inner = self.inner.iter_records_projected(attributes, wanted)
         if inner is None:
             return None
 
         def generate() -> Iterator[ProvenanceRecord]:
             yield from inner
-            for row, record, __ in list(self._staged):
-                yield record if record is not None else self._decode(row)
+            yield from self._staged_records(wanted)
 
         return generate()
+
+    def _staged_records(
+        self, wanted: Optional[FrozenSet[str]]
+    ) -> Iterator[ProvenanceRecord]:
+        """Staged records, only of the traces in *wanted* when given.
+
+        The APPID filter runs on the physical row BEFORE decoding, so a
+        corrupt staged row in another trace stays that trace's problem.
+        """
+        for row, record, __ in list(self._staged):
+            if wanted is not None and row.app_id not in wanted:
+                continue
+            yield record if record is not None else self._decode(row)
 
     def query_records(
         self, query: RecordQuery

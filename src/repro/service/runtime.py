@@ -74,6 +74,7 @@ from repro.controls.materializer import (
 from repro.controls.status import ComplianceResult
 from repro.errors import ServiceError
 from repro.ids import IdFactory
+from repro.model.records import RecordClass
 from repro.service.lanes import IngestLane
 from repro.service.transport import IngestReply
 from repro.store.backends.memory import MemoryBackend
@@ -122,6 +123,39 @@ class SyncOutcome:
             "refreshed": self.refreshed,
             "last_seq": cursor_to_wire(self.last_seq),
         }
+
+
+class _VerdictTable:
+    """One read-cache entry: the canonical verdict rows, plus per-trace and
+    per-control groupings built lazily, once per entry.
+
+    Groups keep canonical order.  Entries are shared by lock-free readers;
+    two readers racing to build a grouping build equal dicts, and the
+    assignment is atomic, so either result may win.
+    """
+
+    __slots__ = ("rows", "_by_trace", "_by_control")
+
+    def __init__(self, rows: List[ComplianceResult]) -> None:
+        self.rows = rows
+        self._by_trace: Optional[Dict[str, List[ComplianceResult]]] = None
+        self._by_control: Optional[Dict[str, List[ComplianceResult]]] = None
+
+    def for_trace(self, trace_id: str) -> List[ComplianceResult]:
+        if self._by_trace is None:
+            self._by_trace = self._group(lambda r: r.trace_id)
+        return list(self._by_trace.get(trace_id, ()))
+
+    def for_control(self, control_name: str) -> List[ComplianceResult]:
+        if self._by_control is None:
+            self._by_control = self._group(lambda r: r.control_name)
+        return list(self._by_control.get(control_name, ()))
+
+    def _group(self, key) -> Dict[str, List[ComplianceResult]]:
+        grouped: Dict[str, List[ComplianceResult]] = {}
+        for result in self.rows:
+            grouped.setdefault(key(result), []).append(result)
+        return grouped
 
 
 class ComplianceRuntime:
@@ -180,8 +214,8 @@ class ComplianceRuntime:
         self._transitions_lock = threading.Lock()
         self._transition_seq = 0
         #: verdict read cache: ((materializer epoch, lane commit vector),
-        #: results).  Written only under the global lock; read lock-free.
-        self._verdict_cache: Optional[Tuple[tuple, List]] = None
+        #: table).  Written only under the global lock; read lock-free.
+        self._verdict_cache: Optional[Tuple[tuple, _VerdictTable]] = None
         self._opened = False
         self._closed = False
         # Background refresh loop.
@@ -247,14 +281,15 @@ class ComplianceRuntime:
         """Continue the REL<i> id sequence past what is already stored.
 
         Correlation over a reopened store must not restart its id counter
-        at 1 — those ids exist and appends would raise.
+        at 1 — those ids exist and appends would raise.  The ids come off
+        the store's secondary index, which the handle built from every
+        row when it opened; no row is re-read.
         """
         self._rel_ids = IdFactory()
         if not self._correlation_rules:
             return
         highest = 0
-        for row in self.store.rows():
-            record_id = row.record_id
+        for record_id in self.store.record_ids(RecordClass.RELATION):
             if record_id.startswith(_RELATION_PREFIX):
                 suffix = record_id[len(_RELATION_PREFIX):]
                 if suffix.isdigit():
@@ -465,12 +500,12 @@ class ComplianceRuntime:
         epoch = self.materializer.epoch
         return (epoch, tuple(lane.commits for lane in self._lanes))
 
-    def _verdict_results(self) -> List[ComplianceResult]:
+    def _verdict_table(self) -> "_VerdictTable":
         cached = self._verdict_cache
         if cached is not None and cached[0] == self._cache_key():
             with self._counter_lock:
                 self.verdict_cache_hits += 1
-            return list(cached[1])
+            return cached[1]
         with self._lock:
             self._require_open()
             self._fold_lanes_locked()
@@ -480,12 +515,12 @@ class ComplianceRuntime:
             # counter past this snapshot and correctly invalidates the
             # entry we are about to store.
             commits = tuple(lane.commits for lane in self._lanes)
-            results = self.evaluator.run(self.controls)
+            table = _VerdictTable(self.evaluator.run(self.controls))
             epoch = self.materializer.epoch
-            self._verdict_cache = ((epoch, commits), results)
+            self._verdict_cache = ((epoch, commits), table)
         with self._counter_lock:
             self.verdict_cache_misses += 1
-        return list(results)
+        return table
 
     def verdicts(
         self,
@@ -501,14 +536,19 @@ class ComplianceRuntime:
         materializer's parity guarantee.  Repeat reads of an unchanged
         runtime are served from the read cache without taking any lock.
         The optional filters subset the canonical rows without changing
-        their order.
+        their order; a *trace* or *control* filter reads that group of
+        the cached table, so it costs O(its rows), not O(table).
         """
         self._require_open()
-        results = self._verdict_results()
-        if control is not None:
-            results = [r for r in results if r.control_name == control]
+        table = self._verdict_table()
         if trace is not None:
-            results = [r for r in results if r.trace_id == trace]
+            results = table.for_trace(trace)
+            if control is not None:
+                results = [r for r in results if r.control_name == control]
+        elif control is not None:
+            results = table.for_control(control)
+        else:
+            results = list(table.rows)
         if status is not None:
             results = [r for r in results if r.status.value == status]
         return results

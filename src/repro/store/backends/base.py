@@ -43,6 +43,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import (
     Callable,
+    Collection,
     FrozenSet,
     Iterable,
     Iterator,
@@ -158,17 +159,41 @@ class StorageBackend(ABC):
         """
         return None
 
-    def iter_records_projected(
-        self, attributes: FrozenSet[str]
-    ) -> Optional[Iterator[ProvenanceRecord]]:
-        """All records in append order, materializing only *attributes*.
+    def iter_trace_records(
+        self, app_ids: Collection[str]
+    ) -> Iterator[ProvenanceRecord]:
+        """The records of the traces in *app_ids*; unknown ids yield none.
 
-        ``None`` (the default) means "no projection fast path"; callers
-        fall back to :meth:`iter_records`.  Records yielded by a
-        projecting backend carry class, type, timestamp, relation
-        endpoints, and the named attributes — other attributes may be
-        absent, which is only safe for callers that declared they will
-        not read them.
+        Each trace's records come in append order; how traces interleave
+        is unspecified (callers group by APPID).  Backends with an APPID
+        access path override this to cost O(rows of those traces) —
+        SQLite pushes ``appid IN (...)`` down its APPID index, sharded
+        backends ask only the home shards.  The default filters
+        :meth:`iter_records`, which is correct for any backend but pays
+        a full scan.
+        """
+        wanted = frozenset(app_ids)
+        return (
+            record
+            for record in self.iter_records()
+            if record.app_id in wanted
+        )
+
+    def iter_records_projected(
+        self,
+        attributes: FrozenSet[str],
+        app_ids: Optional[Collection[str]] = None,
+    ) -> Optional[Iterator[ProvenanceRecord]]:
+        """Records materializing only *attributes*, optionally scoped.
+
+        With ``app_ids=None`` every record comes back in append order;
+        with a collection, only those traces' records, ordered as in
+        :meth:`iter_trace_records`.  ``None`` (the default) means "no
+        projection fast path"; callers fall back to the full-record
+        scans.  Records yielded by a projecting backend carry class,
+        type, timestamp, relation endpoints, and the named attributes —
+        other attributes may be absent, which is only safe for callers
+        that declared they will not read them.
         """
         return None
 

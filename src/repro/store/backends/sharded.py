@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import zlib
 from typing import (
+    Collection,
+    Dict,
     FrozenSet,
     Iterable,
     Iterator,
@@ -206,22 +208,47 @@ class ShardedBackend(StorageBackend):
             for record in child.iter_records():
                 yield record
 
+    def _ids_by_shard(
+        self, app_ids: Collection[str]
+    ) -> List[Tuple[StorageBackend, List[str]]]:
+        """Each shard holding some of *app_ids*, with those ids (routed
+        by :meth:`shard_index`); shards holding none are left out."""
+        routed: Dict[int, List[str]] = {}
+        for app_id in dict.fromkeys(app_ids):
+            routed.setdefault(self.shard_index(app_id), []).append(app_id)
+        return [(self._children[i], routed[i]) for i in sorted(routed)]
+
+    def iter_trace_records(
+        self, app_ids: Collection[str]
+    ) -> Iterator[ProvenanceRecord]:
+        for child, ids in self._ids_by_shard(app_ids):
+            yield from child.iter_trace_records(ids)
+
     def iter_records_projected(
-        self, attributes: FrozenSet[str]
+        self,
+        attributes: FrozenSet[str],
+        app_ids: Optional[Collection[str]] = None,
     ) -> Optional[Iterator[ProvenanceRecord]]:
         if not any(child.accepts_cols() for child in self._children):
             return None
+        if app_ids is None:
+            scopes = [(child, None) for child in self._children]
+        else:
+            scopes = self._ids_by_shard(app_ids)
 
         def generate() -> Iterator[ProvenanceRecord]:
             # Shard-grouped, like iter_records; children without a
             # projection path fall back to full records (a superset of
             # what the projection promises).
-            for child in self._children:
-                projected = child.iter_records_projected(attributes)
+            for child, ids in scopes:
+                projected = child.iter_records_projected(attributes, ids)
                 if projected is None:
-                    projected = child.iter_records()
-                for record in projected:
-                    yield record
+                    projected = (
+                        child.iter_records()
+                        if ids is None
+                        else child.iter_trace_records(ids)
+                    )
+                yield from projected
 
         return generate()
 

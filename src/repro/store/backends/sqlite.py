@@ -33,6 +33,10 @@ Throughput and latency choices:
   sequence number.  :meth:`changes_since` is a ``rowid > ?`` tail scan,
   which makes catching up after a reopen (or after another handle on the
   same file appended out-of-band) cost O(new rows), not O(table).
+- **Trace-scoped scans**: :meth:`iter_trace_records` and a scoped
+  :meth:`iter_records_projected` push ``WHERE appid IN (...)`` down the
+  APPID index, so rebuilding a few traces' frames costs O(their rows)
+  however large the table is.
 - **Auxiliary state** (``aux_state`` table): small named blobs —
   materialized verdict snapshots — persisted next to the rows so
   incremental consumers survive a close/reopen.
@@ -55,7 +59,15 @@ import os
 import sqlite3
 import threading
 from collections import OrderedDict
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Collection,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.errors import BackendError, RecordNotFound
 from repro.faults.points import crash_point
@@ -106,6 +118,10 @@ _COLUMNAR_INDEX = (
 #: rowid have been offered a payload already (encodable or not), so a
 #: reopen never rescans them.
 _BACKFILL_MARKER = "columnar.backfill.cursor"
+
+#: most APPIDs bound into one ``appid IN (...)`` scan; SQLite builds
+#: before 3.32 cap a statement at 999 bound parameters.
+_MAX_IN_PARAMS = 900
 
 #: fallback LRU record-cache capacity when neither the constructor nor the
 #: environment says otherwise.
@@ -485,33 +501,66 @@ class SQLiteBackend(StorageBackend):
             yield self._row_from_sql(found)
 
     def iter_records(self) -> Iterator[ProvenanceRecord]:
+        return self._records_from(self._scan(None))
+
+    def iter_trace_records(
+        self, app_ids: Collection[str]
+    ) -> Iterator[ProvenanceRecord]:
+        return self._records_from(self._scan(app_ids))
+
+    def _records_from(
+        self, scan: Iterator[Tuple[StoredRow, Optional[str]]]
+    ) -> Iterator[ProvenanceRecord]:
         # Reads through the cache but does not populate it: a full sweep
         # must not evict the hot point-lookup entries.
-        if self._columnar_ready and self._codec is not None:
-            for row, cols in self._iter_rows_with_cols():
-                cached = self._cache.get(row.record_id)
-                yield cached if cached is not None else self._materialize(
-                    row, cols
-                )
-            return
-        for row in self.iter_rows():
+        for row, cols in scan:
             cached = self._cache.get(row.record_id)
-            yield cached if cached is not None else self._decode(row)
+            yield cached if cached is not None else self._materialize(
+                row, cols
+            )
 
-    def _iter_rows_with_cols(
-        self,
+    def _scan(
+        self, app_ids: Optional[Collection[str]]
     ) -> Iterator[Tuple[StoredRow, Optional[str]]]:
+        """``(row, cols)`` of every row, or of the traces in *app_ids*.
+
+        A scoped scan is pushed down as ``appid IN (...)`` over
+        ``idx_provenance_appid``, in chunks of at most
+        :data:`_MAX_IN_PARAMS` ids; each chunk comes back in rowid order,
+        so every trace's rows keep their append order.
+        """
         self._check_open()
         self.flush()
-        cursor = self._conn.execute(
-            "SELECT id, class, appid, xml, cols FROM provenance "
-            "ORDER BY rowid"
-        )
-        for found in cursor:
-            yield self._row_from_sql(found[:4]), found[4]
+        columns = "id, class, appid, xml"
+        if self._columnar_ready:
+            columns += ", cols"
+        if app_ids is None:
+            statements = [(f"SELECT {columns} FROM provenance "
+                           "ORDER BY rowid", [])]
+        else:
+            ids = list(dict.fromkeys(app_ids))
+            statements = [
+                (
+                    f"SELECT {columns} FROM provenance WHERE appid IN "
+                    f"({', '.join('?' * len(chunk))}) ORDER BY rowid",
+                    chunk,
+                )
+                for chunk in (
+                    ids[start:start + _MAX_IN_PARAMS]
+                    for start in range(0, len(ids), _MAX_IN_PARAMS)
+                )
+            ]
+        for sql, params in statements:
+            for found in self._conn.execute(sql, params):
+                yield (
+                    self._row_from_sql(found[:4]),
+                    found[4] if self._columnar_ready else None,
+                )
 
     def iter_records_projected(
-        self, attributes: FrozenSet[str]
+        self,
+        attributes: FrozenSet[str],
+        app_ids: Optional[Collection[str]] = None,
     ) -> Optional[Iterator[ProvenanceRecord]]:
         if not self._columnar_ready or self._codec is None:
             return None
@@ -521,7 +570,7 @@ class SQLiteBackend(StorageBackend):
         def generate() -> Iterator[ProvenanceRecord]:
             # No cache read-through: a projected record must never leak
             # into (or be served from) the full-record cache.
-            for row, cols in self._iter_rows_with_cols():
+            for row, cols in self._scan(app_ids):
                 yield self._materialize(row, cols, projection=attributes)
 
         return generate()

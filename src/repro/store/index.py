@@ -109,6 +109,10 @@ class StoreIndex:
             return None
         return list(self._by_attribute.get((entity_type, name, value), ()))
 
+    def has_app(self, app_id: str) -> bool:
+        """Whether any record of trace *app_id* has been indexed."""
+        return app_id in self._by_app
+
     def app_ids(self) -> List[str]:
         """All distinct application ids, in first-seen order."""
         return list(self._by_app.keys())

@@ -117,6 +117,9 @@ class ProvenanceStore:
         )
         self._observers: List[Callable[[ProvenanceRecord], None]] = []
         self._seen_seq = self._backend.last_seq()
+        #: cached canonical trace order of a sharded store (see
+        #: :meth:`app_ids`); None = ask the backend.
+        self._trace_order: Optional[List[str]] = None
         if self._index is not None and self._backend.count():
             self._index.rebuild(self._backend.iter_records())
 
@@ -175,6 +178,7 @@ class ProvenanceStore:
         self._seen_seq = advance_cursor(
             self._seen_seq, self._backend.shard_index(record.app_id)
         )
+        self._note_app_id(record.app_id)
         if self._index is not None:
             self._index.add(record)
         for observer in self._observers:
@@ -275,6 +279,7 @@ class ProvenanceStore:
         self._seen_seq = delta[-1][0]
         for __, row in delta:
             record = self._decode(row)
+            self._note_app_id(record.app_id)
             if self._index is not None:
                 self._index.add(record)
             for observer in self._observers:
@@ -328,11 +333,26 @@ class ProvenanceStore:
         writer or foreign reader — computes identically; the local
         index's arrival order would differ between handles that saw the
         same rows interleave differently.
+
+        Cost: O(traces) from the index on a plain indexed store.  A
+        sharded store caches the backend's list, because that order only
+        moves when a new APPID arrives (``MIN(rowid)`` per APPID is fixed
+        by its first row): :meth:`_commit` and :meth:`sync` drop the
+        cache on an APPID this handle's index has not seen, and the cache
+        is served only while the backend holds no rows this handle has
+        not folded in (one ``MAX(rowid)`` per shard), so a handle behind
+        a foreign writer asks the backend, exactly as an uncached one.
         """
         if self._backend.shard_count() > 1:
+            if (
+                self._trace_order is not None
+                and self._backend.last_seq() == self._seen_seq
+            ):
+                return list(self._trace_order)
             fast = self._backend.app_ids()
             if fast is not None:
-                return fast
+                self._trace_order = fast
+                return list(fast)
         if self._index is not None:
             return self._index.app_ids()
         fast = self._backend.app_ids()
@@ -346,36 +366,73 @@ class ProvenanceStore:
                 seen.append(row.app_id)
         return seen
 
-    def records_by_trace(self) -> Dict[str, List[ProvenanceRecord]]:
-        """trace id → its records in append order, from one backend scan.
+    def _note_app_id(self, app_id: str) -> None:
+        """Drop the cached trace order when *app_id* is new to this handle
+        (an unindexed handle cannot tell, so it always drops)."""
+        if self._index is None or not self._index.has_app(app_id):
+            self._trace_order = None
 
-        This is the sweep-friendly access path: evaluating every control
-        over every trace costs one sequential pass instead of one indexed
-        point-lookup chain per trace (which on lazy backends would decode
-        row by row).
+    def record_ids(self, record_class: RecordClass) -> List[str]:
+        """Ids of every *record_class* row, in append order.
+
+        Read off the secondary index on an indexed store (no row is
+        touched); an unindexed store scans the physical rows, decoding
+        none of them.
         """
-        grouped: Dict[str, List[ProvenanceRecord]] = {}
-        for record in self._backend.iter_records():
-            grouped.setdefault(record.app_id, []).append(record)
-        return grouped
+        if self._index is not None:
+            return self._index.by_class(record_class)
+        return [
+            row.record_id
+            for row in self._backend.iter_rows()
+            if row.record_class is record_class
+        ]
+
+    def records_by_trace(
+        self, app_ids: Optional[Iterable[str]] = None
+    ) -> Dict[str, List[ProvenanceRecord]]:
+        """trace id → its records in append order.
+
+        With *app_ids*, only those traces are fetched, and the cost is
+        O(rows of those traces) on backends with an APPID access path
+        (SQLite, sharded; see
+        :meth:`~repro.store.backends.base.StorageBackend.iter_trace_records`;
+        the in-memory backend filters its live records without decoding)
+        — unknown ids are simply absent from the result.  Without it,
+        one sequential pass over the whole store.
+        """
+        if app_ids is None:
+            records = self._backend.iter_records()
+        else:
+            records = self._backend.iter_trace_records(list(app_ids))
+        return self._group(records)
 
     def records_by_trace_projected(
-        self, attributes: FrozenSet[str]
+        self,
+        attributes: FrozenSet[str],
+        app_ids: Optional[Iterable[str]] = None,
     ) -> Optional[Dict[str, List[ProvenanceRecord]]]:
         """Like :meth:`records_by_trace`, materializing only *attributes*.
 
+        Same cost model: O(rows of the traces in *app_ids*) when given.
         ``None`` means the backend has no projection fast path; callers
         fall back to the full grouping.  Projected records carry class,
         type, timestamp, relation endpoints, and the named attributes —
         callers must not read any other attribute off them.
         """
         projected = self._backend.iter_records_projected(
-            frozenset(attributes)
+            frozenset(attributes),
+            list(app_ids) if app_ids is not None else None,
         )
         if projected is None:
             return None
+        return self._group(projected)
+
+    @staticmethod
+    def _group(
+        records: Iterable[ProvenanceRecord],
+    ) -> Dict[str, List[ProvenanceRecord]]:
         grouped: Dict[str, List[ProvenanceRecord]] = {}
-        for record in projected:
+        for record in records:
             grouped.setdefault(record.app_id, []).append(record)
         return grouped
 

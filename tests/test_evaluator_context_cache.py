@@ -19,6 +19,7 @@ from repro.controls.evaluator import ComplianceEvaluator, cold_sweep
 from repro.graph.build import build_trace_graph
 from repro.processes import hiring
 from repro.processes.violations import ViolationPlan
+from repro.store.query import RecordQuery
 
 
 @pytest.fixture
@@ -155,3 +156,173 @@ class TestSweepParity:
         )
         interpreted.engine = interpret
         assert _normalize(interpreted.run(sim.controls)) == reference
+
+
+# ---------------------------------------------------------------------------
+# Re-sweep after a write: O(dirty traces), not O(store)
+# ---------------------------------------------------------------------------
+
+
+def _sharded_sqlite_sim(tmp_path, cases=60):
+    """A 4-shard SQLite hiring store, reopened so no record is cached."""
+    from repro.store.backends import ShardedBackend
+    from repro.store.store import ProvenanceStore
+
+    path = str(tmp_path / "resweep.db")
+    sim = hiring.workload().simulate(
+        cases=cases,
+        seed=5,
+        violations=ViolationPlan.uniform(list(hiring.VIOLATION_KINDS), 0.3),
+        backend=ShardedBackend.for_sqlite(path, 4),
+    )
+    sim.store.close()
+    store = ProvenanceStore(
+        model=sim.model, backend=ShardedBackend.for_sqlite(path, 4)
+    )
+    return sim, store, path
+
+
+def _grow(store, trace_ids, suffix="late"):
+    """Append one clone of each trace's newest record."""
+    with store.bulk():
+        for trace_id in trace_ids:
+            template = max(
+                store.select(RecordQuery(app_id=trace_id)),
+                key=lambda r: r.timestamp,
+            )
+            store.append(
+                dataclasses.replace(
+                    template,
+                    record_id=f"{template.record_id}-{suffix}",
+                    timestamp=template.timestamp + 1000,
+                )
+            )
+
+
+def _count_decodes(monkeypatch):
+    """Count row decodes on both codecs (columnar payload and XML)."""
+    from repro.store.columnar import ColumnarCodec
+    from repro.store.xmlcodec import XmlCodec
+
+    calls = {"n": 0}
+    for owner, name in (
+        (ColumnarCodec, "decode_cols"),
+        (XmlCodec, "decode_row"),
+    ):
+        real = getattr(owner, name)
+
+        def counting(*args, _real=real, **kwargs):
+            calls["n"] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+class TestScopedResweep:
+    """A sweep after appends to 3 of ~60 traces reads those 3 traces."""
+
+    @pytest.fixture
+    def swept(self, tmp_path):
+        sim, store, __ = _sharded_sqlite_sim(tmp_path)
+        evaluator = ComplianceEvaluator(
+            store, sim.xom, sim.vocabulary,
+            observable_types=sim.observable_types,
+        )
+        evaluator.run(sim.controls)
+        ids = store.app_ids()
+        assert len(ids) >= 50
+        dirty = [ids[3], ids[len(ids) // 2], ids[-2]]
+        _grow(store, dirty)
+        yield sim, store, evaluator, dirty
+        store.close()
+
+    def test_resweep_decodes_only_dirty_trace_rows(
+        self, swept, monkeypatch
+    ):
+        sim, store, evaluator, dirty = swept
+        dirty_rows = sum(
+            len(store.select(RecordQuery(app_id=t))) for t in dirty
+        )
+        assert dirty_rows < len(store) // 10
+        decodes = _count_decodes(monkeypatch)
+        builds_before = evaluator.graph_builds
+        evaluator.run(sim.controls)
+        assert decodes["n"] <= dirty_rows
+        assert evaluator.graph_builds - builds_before == len(dirty)
+
+    def test_resweep_issues_no_per_shard_group_by(
+        self, swept, monkeypatch
+    ):
+        from repro.store.backends import SQLiteBackend
+
+        sim, store, evaluator, __ = swept
+        calls = {"n": 0}
+        real = SQLiteBackend.app_ids
+
+        def counting(self):
+            calls["n"] += 1
+            return real(self)
+
+        monkeypatch.setattr(SQLiteBackend, "app_ids", counting)
+        evaluator.run(sim.controls)
+        assert calls["n"] == 0
+
+    def test_resweep_equals_cold_sweep(self, swept):
+        sim, store, evaluator, __ = swept
+        reference = cold_sweep(
+            store, evaluator.engine, sim.controls,
+            observable_types=sim.observable_types,
+        )
+        assert _normalize(evaluator.run(sim.controls)) == _normalize(
+            reference
+        )
+
+    def test_tampered_untouched_trace_stays_out_of_the_resweep(
+        self, tmp_path, monkeypatch
+    ):
+        """At-rest damage to a trace nobody wrote to is never read by a
+        post-write sweep: the scoped fetch succeeds, so the sweep does
+        not fall back to per-pair refreshes."""
+        import sqlite3
+
+        from repro.controls.status import ComplianceStatus
+        from repro.store.backends.sharded import sqlite_shard_path
+
+        sim, store, path = _sharded_sqlite_sim(tmp_path, cases=12)
+        evaluator = ComplianceEvaluator(
+            store, sim.xom, sim.vocabulary,
+            observable_types=sim.observable_types,
+        )
+        before = evaluator.run(sim.controls)
+        ids = store.app_ids()
+        victim, dirty = ids[0], [ids[1], ids[2]]
+        conn = sqlite3.connect(
+            sqlite_shard_path(path, store.shard_index(victim))
+        )
+        with conn:
+            conn.execute(
+                "UPDATE provenance SET xml = substr(xml, 1, 20) "
+                "WHERE appid = ?",
+                (victim,),
+            )
+        conn.close()
+        _grow(store, dirty)
+
+        failures = []
+        real_prime = evaluator.prime_frames
+
+        def spying_prime(*args, **kwargs):
+            try:
+                return real_prime(*args, **kwargs)
+            except Exception as exc:
+                failures.append(exc)
+                raise
+
+        monkeypatch.setattr(evaluator, "prime_frames", spying_prime)
+        after = evaluator.run(sim.controls)
+        assert failures == []
+        assert all(r.status is not ComplianceStatus.ERROR for r in after)
+        untouched = [r for r in after if r.trace_id == victim]
+        assert untouched == [r for r in before if r.trace_id == victim]
+        store.close()

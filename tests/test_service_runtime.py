@@ -7,6 +7,7 @@ concurrent readers, out-of-band writers, and shutdown/restart cycles.
 
 import json
 import threading
+from collections import Counter
 
 import pytest
 
@@ -87,6 +88,31 @@ class TestRuntimeCore:
         assert {r.trace_id for r in one_trace} == {"App03"}
         by_status = runtime.verdicts(status="satisfied")
         assert all(r.status.value == "satisfied" for r in by_status)
+        runtime.shutdown()
+
+    def test_filtered_reads_are_the_canonical_rows_of_their_group(self):
+        workload = hiring.workload()
+        sim, runtime = _open_runtime(workload, cases=6)
+        runtime.open()
+        table = runtime.verdicts()
+        for trace in ("App02", "App05", "nope"):
+            assert runtime.verdicts(trace=trace) == [
+                r for r in table if r.trace_id == trace
+            ]
+        for control in [c.name for c in sim.controls] + ["nope"]:
+            assert runtime.verdicts(control=control) == [
+                r for r in table if r.control_name == control
+            ]
+            assert runtime.verdicts(
+                control=control, trace="App04", status="violated"
+            ) == [
+                r for r in table
+                if r.control_name == control and r.trace_id == "App04"
+                and r.status.value == "violated"
+            ]
+        # A served group is the caller's copy, never the cached entry.
+        runtime.verdicts(trace="App02").clear()
+        assert runtime.verdicts(trace="App02")
         runtime.shutdown()
 
     def test_ingest_pipeline_and_dedup(self):
@@ -187,10 +213,13 @@ class TestRuntimeCore:
 
 
 class TestSnapshotResume:
-    def _attach_runtime(self, workload, db, **kwargs):
-        store = ProvenanceStore(
-            model=workload.build_model(), backend=SQLiteBackend(db)
+    def _attach_runtime(self, workload, db, shards=None, **kwargs):
+        backend = (
+            SQLiteBackend(db)
+            if shards is None
+            else ShardedBackend.for_sqlite(db, shards)
         )
+        store = ProvenanceStore(model=workload.build_model(), backend=backend)
         sim = workload.attach(store)
         runtime = ComplianceRuntime.from_simulation(
             sim, workload=workload, owns_store=True, **kwargs
@@ -219,6 +248,51 @@ class TestSnapshotResume:
         # sequences continue where the first process left off.
         second.ingest(events[half:])
         second.sync()
+        assert _served_payloads(second) == _cold_sweep_payloads(sim2)
+        second.shutdown()
+
+    def test_relation_ids_continue_past_the_stored_maximum(self, tmp_path):
+        """A reopened runtime seeds its REL<i> counter from the stored
+        relation ids, so correlating more events of the same traces
+        mints only fresh, higher ids.  Four shards make this the only
+        guard: a lane's store sees its own shard's ids alone."""
+        from repro.model.records import RecordClass
+
+        db = str(tmp_path / "service.db")
+        workload = hiring.workload()
+        events = _event_stream(workload, cases=5)
+        by_trace = {}
+        for event in events:
+            by_trace.setdefault(event.app_id, []).append(event)
+        early = [e for evs in by_trace.values() for e in evs[:len(evs) // 2]]
+        late = [e for evs in by_trace.values() for e in evs[len(evs) // 2:]]
+
+        def relation_suffixes(store):
+            # A list, not a set: an id minted twice (in two shards) must
+            # show up twice.
+            return [
+                int(record_id[len("REL"):])
+                for record_id in store.record_ids(RecordClass.RELATION)
+                if record_id.startswith("REL")
+            ]
+
+        __, first = self._attach_runtime(workload, db, shards=4)
+        first.open()
+        first.ingest(early)
+        first.sync()
+        before = relation_suffixes(first.store)
+        assert before
+        first.shutdown()
+
+        sim2, second = self._attach_runtime(workload, db, shards=4)
+        second.open()
+        second.ingest(late)
+        second.sync()
+        after = relation_suffixes(second.store)
+        assert len(after) == len(set(after))
+        minted = Counter(after) - Counter(before)
+        assert minted
+        assert min(minted) > max(before)
         assert _served_payloads(second) == _cold_sweep_payloads(sim2)
         second.shutdown()
 
@@ -254,6 +328,53 @@ class TestSnapshotResume:
 
 
 class TestConcurrency:
+    def test_racing_readers_share_one_lazily_grouped_entry(self):
+        """Readers that race to build a cache entry's per-trace and
+        per-control groupings all get the canonical group."""
+        import sys
+
+        workload = hiring.workload()
+        sim, runtime = _open_runtime(workload, cases=12)
+        runtime.open()
+        table = runtime.verdicts()
+        traces = sorted({r.trace_id for r in table})
+        controls = [c.name for c in sim.controls]
+        # A fresh entry whose groupings no reader has built yet.
+        runtime.materializer.invalidate_all()
+        errors = []
+        barrier = threading.Barrier(8)
+
+        def read(worker):
+            try:
+                barrier.wait(timeout=10)
+                for round_no in range(20):
+                    trace = traces[(worker + round_no) % len(traces)]
+                    control = controls[(worker + round_no) % len(controls)]
+                    assert runtime.verdicts(trace=trace) == [
+                        r for r in table if r.trace_id == trace
+                    ]
+                    assert runtime.verdicts(control=control) == [
+                        r for r in table if r.control_name == control
+                    ]
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=read, args=(i,)) for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        runtime.shutdown()
+
     def test_threaded_ingest_with_live_readers(self):
         workload = hiring.workload()
         sim, runtime = _open_runtime(workload)

@@ -41,6 +41,7 @@ from repro.store.cursor import (
     cursor_total,
 )
 from repro.store.locks import FileLock, NullLock
+from repro.model.records import RelationRecord
 from repro.store.store import ProvenanceStore
 
 from tests.conftest import build_hiring_trace
@@ -429,6 +430,76 @@ class TestMultiWriter:
         assert actual == expected
         reader.close()
         oracle.close()
+
+
+class TestTraceOrderCache:
+    """A sharded handle caches its canonical trace order; the cache must
+    never hide a trace another handle appended."""
+
+    def test_two_handles_agree_with_the_backend(self, tmp_path):
+        base = str(tmp_path / "order.db")
+        handles = [
+            ProvenanceStore(backend=ShardedBackend.for_sqlite(base, 4))
+            for __ in range(2)
+        ]
+        a, b = handles
+        try:
+            for app_id in ("App01", "App02", "App03"):
+                a.extend(sample_records(app_id))
+            a.flush()
+            assert a.app_ids() == a.backend.app_ids()  # fills the cache
+            b.sync()
+            b.extend(sample_records("App09"))
+            b.flush()
+            # A has not folded B's rows in: it must ask the backend.
+            assert "App09" in a.backend.app_ids()
+            assert a.app_ids() == a.backend.app_ids()
+            a.sync()
+            assert a.app_ids() == a.backend.app_ids()
+            assert a.app_ids() == b.app_ids()
+            # A row of a known trace leaves the order unchanged.
+            b.append(
+                RelationRecord.create(
+                    "E2-App09", "App09", "submitterOf",
+                    source_id="R1-App09", target_id="D1-App09",
+                )
+            )
+            b.flush()
+            a.sync()
+            assert a.app_ids() == a.backend.app_ids()
+        finally:
+            for handle in handles:
+                handle.close()
+
+    def test_cache_serves_without_a_group_by(self, tmp_path, monkeypatch):
+        store = ProvenanceStore(
+            backend=ShardedBackend.for_sqlite(str(tmp_path / "c.db"), 4)
+        )
+        for app_id in ("App01", "App02", "App03"):
+            store.extend(sample_records(app_id))
+        expected = store.app_ids()
+        calls = {"n": 0}
+        real = SQLiteBackend.app_ids
+
+        def counting(self):
+            calls["n"] += 1
+            return real(self)
+
+        monkeypatch.setattr(SQLiteBackend, "app_ids", counting)
+        store.append(
+            RelationRecord.create(
+                "E2-App02", "App02", "submitterOf",
+                source_id="R1-App02", target_id="D1-App02",
+            )
+        )
+        assert store.app_ids() == expected
+        assert calls["n"] == 0
+        # A new APPID drops the cache: the next call asks the shards.
+        store.extend(sample_records("App04"))
+        assert store.app_ids() == store.backend.app_ids()
+        assert "App04" in store.app_ids()
+        assert calls["n"] > 0
+        store.close()
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from repro.store.backends import (
 )
 from repro.store.query import RecordQuery
 from repro.store.store import ProvenanceStore
+from repro.store.xmlcodec import encode_row
 
 from tests.test_store_store import sample_records
 
@@ -202,6 +203,101 @@ class TestConformance:
         assert [r.record_id for r in grouped["App01"]] == [
             "R1-App01", "D1-App01", "E1-App01"
         ]
+
+
+def _ids(grouped):
+    return {
+        trace: [r.record_id for r in records]
+        for trace, records in grouped.items()
+    }
+
+
+def _restricted(full, ids):
+    return {t: full[t] for t in dict.fromkeys(ids) if t in full}
+
+
+#: one of each backend family the scoped scans are implemented for.
+SCOPED_KINDS = ("memory", "sqlite-file", "sharded-4", "faulty-sqlite")
+
+
+class TestScopedGroupings:
+    """``records_by_trace*(app_ids=...)`` equal the full groupings
+    restricted to the ids, on every backend."""
+
+    ASKS = (
+        ["App01"],
+        ["App02", "App01"],
+        ["App01", "App01"],
+        ["App01", "nope"],
+        ["nope"],
+        [],
+    )
+
+    def test_scoped_records_by_trace(self, store):
+        full = store.records_by_trace()
+        for ids in self.ASKS:
+            scoped = store.records_by_trace(ids)
+            assert _ids(scoped) == _ids(_restricted(full, ids)), ids
+            assert scoped == _restricted(full, ids), ids
+
+    def test_scoped_projection(self, store):
+        attributes = frozenset({"reqid"})
+        full = store.records_by_trace_projected(attributes)
+        for ids in self.ASKS:
+            scoped = store.records_by_trace_projected(attributes, ids)
+            if full is None:
+                assert scoped is None
+                continue
+            assert _ids(scoped) == _ids(_restricted(full, ids)), ids
+            assert scoped == _restricted(full, ids), ids
+
+    @pytest.mark.parametrize("kind", SCOPED_KINDS)
+    def test_more_ids_than_one_sql_chunk(self, kind, tmp_path):
+        store = ProvenanceStore(backend=make_backend(kind, tmp_path))
+        with store.bulk():
+            for i in range(950):
+                store.extend(sample_records(f"T{i:04d}"))
+        asked = [f"T{i:04d}" for i in reversed(range(950))][:930]
+        asked += ["unknown-1", "unknown-2"]
+        full = store.records_by_trace()
+        assert _ids(store.records_by_trace(asked)) == _ids(
+            _restricted(full, asked)
+        )
+        projected = store.records_by_trace_projected(
+            frozenset({"reqid"}), asked
+        )
+        if projected is not None:
+            assert _ids(projected) == _ids(_restricted(full, asked))
+        store.close()
+
+    def test_staged_faulty_rows_are_scoped_without_decoding_others(
+        self, tmp_path
+    ):
+        plan = FaultPlan().corrupt_write(4)
+        store = ProvenanceStore(
+            backend=FaultyBackend(
+                SQLiteBackend(str(tmp_path / "staged.db")), plan
+            )
+        )
+        store.extend(sample_records("App01"))
+        with store.bulk():
+            # Staged as bare rows (no live record), so reading one means
+            # decoding it; write #4 (App02's first row) is corrupted.
+            for record in sample_records("App02") + sample_records("App03"):
+                store.backend.append_row(encode_row(record))
+            assert store.backend.staged_count() == 6
+            for scan in (
+                lambda ids: store.records_by_trace(ids),
+                lambda ids: store.records_by_trace_projected(
+                    frozenset({"reqid"}), ids
+                ),
+            ):
+                grouped = scan(["App03", "App01"])
+                assert _ids(grouped) == {
+                    "App01": ["R1-App01", "D1-App01", "E1-App01"],
+                    "App03": ["R1-App03", "D1-App03", "E1-App03"],
+                }
+            store.backend.abort()
 
 
 class TestUnindexedConformance:
