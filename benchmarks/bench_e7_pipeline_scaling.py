@@ -15,9 +15,9 @@ Scales come in three sets, selected by ``BAL_BENCH_SCALE``:
 - ``tiny`` — (20, 50): the CI smoke variant.  Shape assertions only.
 - default — (50, 200, 800): the checked-in BENCH_e7 numbers.
 - ``large`` — adds 10_000 and 100_000 traces on the SQLite backend,
-  where the columnar payloads carry the sweep: predicate push-down
-  answers the evaluator's record queries from indexed SQL and projected
-  iteration decodes only the attributes the controls reference.
+  where the columnar payloads carry the sweep: trace-scoped reads go
+  down the APPID index and projected iteration decodes only the
+  attributes the controls reference.
 
 The large scales run on SQLite (that is where the columnar representation
 lives); the small scales keep the in-memory backend so the series stays
@@ -50,8 +50,8 @@ elif _SCALE == "large":
 else:
     TRACE_COUNTS = (50, 200, 800)
 
-#: scales at or above this run on the SQLite backend (columnar + push-down
-#: + projected sweeps); below it the in-memory backend keeps the series
+#: scales at or above this run on the SQLite backend (columnar decode +
+#: trace-scoped SQL + projected sweeps); below it the in-memory backend keeps the series
 #: comparable with pre-columnar snapshots.
 _SQLITE_FROM = 10_000
 
@@ -171,17 +171,21 @@ def test_e7_pipeline_scaling(benchmark, artifact):
         },
     )
 
-    # Push-down smoke: on the SQLite backend the evaluator-style record
-    # queries must compile to indexed WHERE clauses, not decode-then-filter
-    # — asserted here so the tiny CI variant guards the fast path.
+    # Trace-scoped SQL smoke: on the SQLite backend a select scoped to
+    # one trace must read that trace down the APPID index and answer
+    # exactly what the in-memory store answers — asserted here so the
+    # tiny CI variant guards the path.
     sqlite_backend = SQLiteBackend(":memory:")
     sqlite_sim = workload.simulate(
         cases=min(TRACE_COUNTS), seed=7, backend=sqlite_backend
     )
-    matched = sqlite_sim.store.select(
-        RecordQuery(entity_type="jobrequisition")
-    )
-    assert matched and sqlite_backend.pushdown_queries > 0
+    memory_sim = workload.simulate(cases=min(TRACE_COUNTS), seed=7)
+    trace = sqlite_sim.store.app_ids()[0]
+    query = RecordQuery(app_id=trace, entity_type="jobrequisition")
+    before = sqlite_backend.pushdown_queries
+    matched = sqlite_sim.store.select(query)
+    assert matched and sqlite_backend.pushdown_queries == before + 1
+    assert matched == memory_sim.store.select(query)
     with_cols, total = sqlite_backend.columnar_coverage()
     assert with_cols == total > 0
     sqlite_sim.store.close()

@@ -335,7 +335,6 @@ class CorrelationAnalytics:
         model: Optional[ProvenanceDataModel] = None,
         ids: Optional[IdFactory] = None,
         use_planner: bool = True,
-        track_edges: bool = False,
     ) -> None:
         self.store = store
         self.model = model if model is not None else store.model
@@ -344,14 +343,6 @@ class CorrelationAnalytics:
         self._rules: List[CorrelationRule] = []
         #: stats of the most recent :meth:`run` (None before the first run).
         self.stats: Optional[CorrelationStats] = None
-        # With track_edges the existing-edge set is seeded once and then
-        # maintained by a store observer, so repeated run() calls skip the
-        # full-store relation scan (the per-batch cost on a long-lived
-        # runtime).  Outputs are byte-identical either way.
-        self._edge_cache: Optional[set] = None
-        if track_edges:
-            self._edge_cache = self._existing_edges()
-            self.store.subscribe(self._note_relation)
 
     def add_rule(self, rule) -> "CorrelationAnalytics":
         """Register a :class:`CorrelationRule` or :class:`SequenceRule`."""
@@ -373,19 +364,14 @@ class CorrelationAnalytics:
         """The execution plan for every registered rule, in rule order."""
         return [plan_rule(rule) for rule in self._rules]
 
-    def _existing_edges(self) -> set:
+    @staticmethod
+    def _existing_edges(records: Iterable[ProvenanceRecord]) -> set:
+        """``(type, source, target)`` of every relation in *records*."""
         return {
             (r.entity_type, r.source_id, r.target_id)
-            for r in self.store.records()
+            for r in records
             if isinstance(r, RelationRecord)
         }
-
-    def _note_relation(self, record: ProvenanceRecord) -> None:
-        """Store observer: fold appended/synced relations into the cache."""
-        if self._edge_cache is not None and isinstance(record, RelationRecord):
-            self._edge_cache.add(
-                (record.entity_type, record.source_id, record.target_id)
-            )
 
     def run(
         self, app_ids: Optional[Iterable[str]] = None
@@ -393,15 +379,11 @@ class CorrelationAnalytics:
         """Run all rules over the given traces (default: all); returns the
         newly created relation records (already appended to the store)."""
         traces = list(app_ids) if app_ids is not None else self.store.app_ids()
-        existing = (
-            self._edge_cache
-            if self._edge_cache is not None
-            else self._existing_edges()
-        )
         stats = CorrelationStats()
         self.stats = stats
         created: List[RelationRecord] = []
         if not self.use_planner:
+            existing = self._existing_edges(self.store.records())
             for app_id in traces:
                 for rule in self._rules:
                     if isinstance(rule, SequenceRule):
@@ -433,6 +415,13 @@ class CorrelationAnalytics:
             # buckets instead of a store select per (rule, side).
             buckets = _TraceBuckets(
                 self.store.select(RecordQuery(app_id=app_id))
+            )
+            # Every relation is written under the APPID of its endpoints'
+            # trace (correlation emits only within a trace), so the
+            # trace's own relations are all the edges a rule here could
+            # duplicate.
+            existing = self._existing_edges(
+                buckets.by_class.get(RecordClass.RELATION, ())
             )
             for plan in plans:
                 if plan.kind == PLAN_SEQUENCE:

@@ -111,13 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 "own write lock)"
             ),
         )
-        p.add_argument(
-            "--decode-cache", type=int, default=None, metavar="N",
-            help=(
-                "capacity of the sqlite backend's decoded-record LRU "
-                "cache (default: REPRO_DECODE_CACHE env var, else 4096)"
-            ),
-        )
 
     def add_workload_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -286,10 +279,7 @@ def _backend_for(args, threadsafe: bool = False) -> Optional[StorageBackend]:
     threads).
     """
     shards = getattr(args, "shards", 1)
-    cache = getattr(args, "decode_cache", None)
-    sqlite_options = {} if cache is None else {"cache_size": cache}
-    if threadsafe:
-        sqlite_options["threadsafe"] = True
+    sqlite_options = {"threadsafe": True} if threadsafe else {}
     if shards > 1:
         if args.backend == "sqlite":
             if args.db:
@@ -701,7 +691,7 @@ def cmd_store_stats(args, out) -> int:
                     f"shard {index}: columnar: {with_cols}/{total} rows "
                     f"encoded, decode cache {child.cache_size} slots "
                     f"({child.cache_hits} hits, {child.cache_misses} "
-                    f"misses), {child.pushdown_queries} pushed-down "
+                    f"misses), {child.pushdown_queries} trace-scoped "
                     f"queries",
                     file=out,
                 )

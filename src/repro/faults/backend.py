@@ -36,7 +36,6 @@ from typing import (
     Collection,
     Dict,
     FrozenSet,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -104,12 +103,10 @@ class FaultyBackend(StorageBackend):
     def accepts_cols(self) -> bool:
         return not self._dead() and self.inner.accepts_cols()
 
-    def bind_columnar(
-        self, codec, indexed_attributes: Iterable[str] = ()
-    ) -> None:
+    def bind_columnar(self, codec) -> None:
         if self._dead():
             return
-        self.inner.bind_columnar(codec, indexed_attributes)
+        self.inner.bind_columnar(codec)
 
     def shard_count(self) -> int:
         return self.inner.shard_count()
@@ -296,20 +293,10 @@ class FaultyBackend(StorageBackend):
         committed = self.inner.query_records(query)
         if committed is None:
             return None
-        # Staged rows are visible to queries; filter on the physical
-        # facets BEFORE decoding so a corrupt staged row in another trace
-        # stays that trace's problem (the confinement invariant).
-        for row, record, __ in list(self._staged):
-            if query.app_id is not None and row.app_id != query.app_id:
-                continue
-            if (
-                query.record_class is not None
-                and row.record_class is not query.record_class
-            ):
-                continue
-            committed.append(
-                record if record is not None else self._decode(row)
-            )
+        # Staged rows of the trace are visible too; the APPID filter runs
+        # on the physical row BEFORE decoding, so a corrupt staged row in
+        # another trace stays that trace's problem (confinement).
+        committed.extend(self._staged_records(frozenset((query.app_id,))))
         return committed
 
     def count(self) -> int:

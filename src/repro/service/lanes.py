@@ -103,11 +103,8 @@ class IngestLane:
         )
         self.analytics: Optional[CorrelationAnalytics] = None
         if correlation_rules:
-            # track_edges: the lane lives for the whole service session,
-            # so the existing-edge set is maintained by observer instead
-            # of re-scanned from the store on every batch.
             self.analytics = CorrelationAnalytics(
-                store, store.model, ids=rel_ids, track_edges=True
+                store, store.model, ids=rel_ids
             )
             for rule in correlation_rules:
                 self.analytics.add_rule(rule)

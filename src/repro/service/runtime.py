@@ -329,7 +329,6 @@ class ComplianceRuntime:
             lane_store = ProvenanceStore(
                 model=self.store.model,
                 indexed=False,
-                indexed_attributes=self.store.indexed_attributes,
                 backend=handle,
                 fast_codec=self.store.codec is not None,
             )

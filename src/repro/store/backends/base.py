@@ -45,7 +45,6 @@ from typing import (
     Callable,
     Collection,
     FrozenSet,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -87,16 +86,13 @@ class StorageBackend(ABC):
         """
         return False
 
-    def bind_columnar(
-        self, codec, indexed_attributes: Iterable[str] = ()
-    ) -> None:
+    def bind_columnar(self, codec) -> None:
         """Attach a :class:`~repro.store.columnar.ColumnarCodec`.
 
         Called by the store right after the decoder is installed.
         Backends that persist ``cols`` use the codec to decode payloads
         on read paths and to backfill payloads for rows written before
-        the columnar schema existed; *indexed_attributes* names get
-        expression indexes.  Default: ignore.
+        the ``cols`` column existed.  Default: ignore.
         """
 
     # -- writes --------------------------------------------------------------
@@ -148,14 +144,14 @@ class StorageBackend(ABC):
     def query_records(
         self, query: RecordQuery
     ) -> Optional[List[ProvenanceRecord]]:
-        """Candidate records for *query* via predicate push-down.
+        """The records of ``query.app_id``'s trace, in append order.
 
-        ``None`` means "no push-down path" (the default) and the store
-        falls back to its index/scan candidate generation.  A non-None
-        result must be a **superset** of the true matches, in this
-        backend's append order — the store re-applies ``query.matches``
-        to every candidate, so false positives are fine and false
-        negatives are forbidden.
+        Table I's APPID column is the one facet a backend answers in
+        storage: a backend with an APPID access path (SQLite) returns
+        the whole trace and the store applies the query's remaining
+        facets with ``query.matches``.  ``None`` (the default, and the
+        answer to a query with no ``app_id``) means "no such path"; the
+        store falls back to its index or a scan.
         """
         return None
 

@@ -37,7 +37,6 @@ from typing import (
     Collection,
     Dict,
     FrozenSet,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -149,12 +148,9 @@ class ShardedBackend(StorageBackend):
     def accepts_cols(self) -> bool:
         return any(child.accepts_cols() for child in self._children)
 
-    def bind_columnar(
-        self, codec, indexed_attributes: Iterable[str] = ()
-    ) -> None:
-        names = tuple(indexed_attributes)
+    def bind_columnar(self, codec) -> None:
         for child in self._children:
-            child.bind_columnar(codec, names)
+            child.bind_columnar(codec)
 
     # -- writes --------------------------------------------------------------
 
@@ -255,11 +251,8 @@ class ShardedBackend(StorageBackend):
     def query_records(
         self, query: RecordQuery
     ) -> Optional[List[ProvenanceRecord]]:
-        # Only trace-scoped queries push down: an APPID pins the query to
-        # exactly one home shard, whose append order matches what every
-        # other candidate path yields for that trace.  Queries spanning
-        # shards would surface shard-grouped order where the store's
-        # index paths use arrival order, so they take the fallback.
+        # An APPID pins the query to exactly one home shard, whose
+        # append order is that trace's append order.
         if query.app_id is None:
             return None
         return self._children[self.shard_index(query.app_id)].query_records(

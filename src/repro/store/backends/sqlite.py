@@ -7,7 +7,8 @@ stores it verbatim::
         id    TEXT PRIMARY KEY,
         class TEXT NOT NULL,
         appid TEXT NOT NULL,
-        xml   TEXT NOT NULL
+        xml   TEXT NOT NULL,
+        cols  TEXT
     )
 
 with secondary SQL indexes on ``class`` and ``appid``.  Append order is the
@@ -33,36 +34,34 @@ Throughput and latency choices:
   sequence number.  :meth:`changes_since` is a ``rowid > ?`` tail scan,
   which makes catching up after a reopen (or after another handle on the
   same file appended out-of-band) cost O(new rows), not O(table).
-- **Trace-scoped scans**: :meth:`iter_trace_records` and a scoped
-  :meth:`iter_records_projected` push ``WHERE appid IN (...)`` down the
-  APPID index, so rebuilding a few traces' frames costs O(their rows)
-  however large the table is.
+- **Trace-scoped SQL is the only row query**: :meth:`iter_trace_records`,
+  a scoped :meth:`iter_records_projected` and :meth:`query_records` push
+  ``WHERE appid IN (...)`` down the APPID index, so reading a few traces
+  costs O(their rows) however large the table is.  Every other filter is
+  the store's, applied to the decoded records.
 - **Auxiliary state** (``aux_state`` table): small named blobs —
   materialized verdict snapshots — persisted next to the rows so
   incremental consumers survive a close/reopen.
-- **Columnar sidecar + predicate push-down**: each row optionally
-  carries a ``cols`` JSON payload (:mod:`repro.store.columnar`) with
-  generated columns ``etype``/``ts`` extracted from it, so
-  :meth:`query_records` compiles :class:`~repro.store.query.RecordQuery`
-  facets into indexed ``WHERE`` clauses, and scans decode via the
-  payload instead of parsing XML.  Databases created before the columnar
-  schema migrate in place on open (``ALTER TABLE``), and rows written by
-  pre-columnar code are backfilled — once, bounded by a cursor marker —
-  when a codec is bound.  XML remains the source of truth; any row whose
-  payload is missing or stale (CRC mismatch) decodes from XML exactly as
-  before.
+- **Columnar decode cache**: each row optionally carries a ``cols`` JSON
+  payload (:mod:`repro.store.columnar`) that reads materialize from
+  instead of parsing XML.  No SQL looks inside it.  Databases created
+  before the column existed gain it on open (one ``ALTER TABLE``), and
+  rows written by such code are backfilled — once, bounded by a cursor
+  marker — when a codec is bound.  XML remains the source of truth; any
+  row whose payload is missing or stale (CRC mismatch) decodes from XML
+  exactly as before.  Files written while the payload also fed generated
+  ``etype``/``ts`` columns keep those columns and their index; nothing
+  reads them.
 """
 
 from __future__ import annotations
 
-import os
 import sqlite3
 import threading
 from collections import OrderedDict
 from typing import (
     Collection,
     FrozenSet,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -73,11 +72,7 @@ from repro.errors import BackendError, RecordNotFound
 from repro.faults.points import crash_point
 from repro.model.records import ProvenanceRecord, RecordClass
 from repro.store.backends.base import StorageBackend
-from repro.store.columnar import (
-    ColumnarCodec,
-    _JSON_PATH_RE,
-    compile_query,
-)
+from repro.store.columnar import ColumnarCodec
 from repro.store.locks import FileLock, NullLock
 from repro.store.query import RecordQuery
 from repro.store.xmlcodec import StoredRow
@@ -87,7 +82,8 @@ CREATE TABLE IF NOT EXISTS provenance (
     id    TEXT PRIMARY KEY,
     class TEXT NOT NULL,
     appid TEXT NOT NULL,
-    xml   TEXT NOT NULL
+    xml   TEXT NOT NULL,
+    cols  TEXT
 );
 CREATE INDEX IF NOT EXISTS idx_provenance_class ON provenance(class);
 CREATE INDEX IF NOT EXISTS idx_provenance_appid ON provenance(appid);
@@ -97,23 +93,6 @@ CREATE TABLE IF NOT EXISTS aux_state (
 );
 """
 
-# Schema v2 adds the columnar sidecar: the cols payload plus VIRTUAL
-# generated columns over it (they cost nothing per row — extraction
-# happens at read time, and the etype index stores only the extracted
-# values).  Applied as ALTERs so v1 files upgrade in place; databases
-# opened by a SQLite built without generated-column/JSON support simply
-# stay on the v1 schema (and the columnar fast paths stay off).
-_SCHEMA_COLUMNAR = (
-    "ALTER TABLE provenance ADD COLUMN cols TEXT",
-    "ALTER TABLE provenance ADD COLUMN etype TEXT GENERATED ALWAYS AS "
-    "(json_extract(cols, '$.t')) VIRTUAL",
-    "ALTER TABLE provenance ADD COLUMN ts INTEGER GENERATED ALWAYS AS "
-    "(json_extract(cols, '$.ts')) VIRTUAL",
-)
-_COLUMNAR_INDEX = (
-    "CREATE INDEX IF NOT EXISTS idx_provenance_etype ON provenance(etype)"
-)
-
 #: aux-state marker bounding the columnar backfill: rows at or below this
 #: rowid have been offered a payload already (encodable or not), so a
 #: reopen never rescans them.
@@ -122,23 +101,6 @@ _BACKFILL_MARKER = "columnar.backfill.cursor"
 #: most APPIDs bound into one ``appid IN (...)`` scan; SQLite builds
 #: before 3.32 cap a statement at 999 bound parameters.
 _MAX_IN_PARAMS = 900
-
-#: fallback LRU record-cache capacity when neither the constructor nor the
-#: environment says otherwise.
-_DEFAULT_CACHE_SIZE = 4096
-
-
-def _default_cache_size() -> int:
-    """Cache capacity from ``REPRO_DECODE_CACHE``, else 4096."""
-    raw = os.environ.get("REPRO_DECODE_CACHE")
-    if raw is None or not raw.strip():
-        return _DEFAULT_CACHE_SIZE
-    try:
-        return int(raw)
-    except ValueError:
-        raise BackendError(
-            f"REPRO_DECODE_CACHE must be an integer, got {raw!r}"
-        ) from None
 
 
 class SQLiteBackend(StorageBackend):
@@ -151,8 +113,6 @@ class SQLiteBackend(StorageBackend):
         bulk_batch_size: pending appends per transaction inside bulk
             sections (recorder streams).
         cache_size: capacity of the LRU record cache (decoded rows).
-            Defaults to the ``REPRO_DECODE_CACHE`` environment variable,
-            or 4096.
         write_lock: optional context manager (a
             :class:`~repro.store.locks.FileLock`) taken around each flush
             transaction, serializing multi-process writers fairly instead
@@ -173,12 +133,10 @@ class SQLiteBackend(StorageBackend):
         path: str = ":memory:",
         batch_size: int = 256,
         bulk_batch_size: int = 8192,
-        cache_size: Optional[int] = None,
+        cache_size: int = 4096,
         write_lock=None,
         threadsafe: bool = False,
     ) -> None:
-        if cache_size is None:
-            cache_size = _default_cache_size()
         if batch_size < 1 or bulk_batch_size < 1 or cache_size < 1:
             raise BackendError("sqlite backend sizes must be >= 1")
         self.path = path
@@ -191,6 +149,7 @@ class SQLiteBackend(StorageBackend):
         )
         try:
             self._conn.executescript(_SCHEMA_BASE)
+            self._add_cols_column()
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.commit()
@@ -199,7 +158,6 @@ class SQLiteBackend(StorageBackend):
             raise BackendError(
                 f"cannot open {path!r} as a SQLite provenance store: {exc}"
             ) from exc
-        self._columnar_ready = self._migrate_columnar()
         # Pending (row, record-or-None, cols-or-None) appends, not yet
         # committed, plus an id map so point reads see them without
         # forcing a flush.
@@ -213,48 +171,32 @@ class SQLiteBackend(StorageBackend):
         self._decoder = None
         self._codec: Optional[ColumnarCodec] = None
         self._closed = False
-        #: rows known to lack a cols payload (committed + pending).  May
-        #: overcount after aborted batches — safe, it only keeps the
-        #: ``OR cols IS NULL`` widening in compiled queries — but never
-        #: undercounts.
-        self._null_cols = 0
-        if self._columnar_ready:
-            self._null_cols = self._count_null_cols()
         #: columnar observability (surfaced by ``repro store-stats``).
         self.cache_hits = 0
         self.cache_misses = 0
         self.pushdown_queries = 0
         self.migrated_cols = 0
 
-    def _migrate_columnar(self) -> bool:
-        """Bring the schema to v2 (cols + generated columns); idempotent.
-
-        Returns whether the columnar schema is available.  A SQLite build
-        without generated-column or JSON support leaves the file on the
-        v1 schema and this backend degrades to XML-only operation.
-        """
+    def _add_cols_column(self) -> None:
+        """Give a file written before the ``cols`` column existed that
+        column; idempotent.  A plain TEXT column works on every SQLite
+        build, so every file ends up with the same readable layout."""
+        if self._has_cols_column():
+            return
         try:
-            # table_xinfo, not table_info: VIRTUAL generated columns are
-            # "hidden" and table_info omits them, which would make every
-            # reopen re-ALTER etype/ts into a duplicate-column error.
-            present = {
-                row[1]
-                for row in self._conn.execute(
-                    "PRAGMA table_xinfo(provenance)"
-                )
-            }
-            if "cols" not in present:
-                for statement in _SCHEMA_COLUMNAR:
-                    self._conn.execute(statement)
-            elif "etype" not in present:
-                for statement in _SCHEMA_COLUMNAR[1:]:
-                    self._conn.execute(statement)
-            self._conn.execute(_COLUMNAR_INDEX)
+            self._conn.execute("ALTER TABLE provenance ADD COLUMN cols TEXT")
             self._conn.commit()
-            return True
         except sqlite3.OperationalError:
+            # Another connection on the file may have added it first.
             self._conn.rollback()
-            return False
+            if not self._has_cols_column():
+                raise
+
+    def _has_cols_column(self) -> bool:
+        return any(
+            row[1] == "cols"
+            for row in self._conn.execute("PRAGMA table_info(provenance)")
+        )
 
     def fork_handle(self) -> Optional["SQLiteBackend"]:
         """A second connection over the same file (None for ``:memory:``).
@@ -279,24 +221,16 @@ class SQLiteBackend(StorageBackend):
             threadsafe=True,
         )
 
-    def _count_null_cols(self) -> int:
-        (nulls,) = self._conn.execute(
-            "SELECT COUNT(*) FROM provenance WHERE cols IS NULL"
-        ).fetchone()
-        return int(nulls)
-
     def set_decoder(self, decoder) -> None:
         self._decoder = decoder
 
     # -- columnar representation ---------------------------------------------
 
     def accepts_cols(self) -> bool:
-        return self._columnar_ready
+        return True
 
-    def bind_columnar(
-        self, codec: ColumnarCodec, indexed_attributes: Iterable[str] = ()
-    ) -> None:
-        """Attach the codec; create expression indexes; backfill old rows.
+    def bind_columnar(self, codec: ColumnarCodec) -> None:
+        """Attach the codec; backfill payloads of rows written without one.
 
         The backfill decodes (via the bound row decoder) every row that
         has no payload and was never offered one — bounded by an aux-state
@@ -304,22 +238,11 @@ class SQLiteBackend(StorageBackend):
         Rows that cannot be encoded (tampered, non-canonical) are skipped
         and never retried; they keep decoding from XML.
         """
-        if not self._columnar_ready or self._closed:
+        if self._closed:
             return
         self._codec = codec
-        for name in sorted(set(indexed_attributes)):
-            if _JSON_PATH_RE.match(name) is None:
-                continue
-            self._conn.execute(
-                f"CREATE INDEX IF NOT EXISTS idx_provenance_attr_{name} "
-                f"ON provenance(json_extract(cols, '$.a.{name}'))"
-            )
-        self._conn.commit()
         if self._decoder is not None:
             self._backfill_cols(codec)
-        self._null_cols = self._count_null_cols() + sum(
-            1 for __, __, cols in self._pending if cols is None
-        )
 
     def _backfill_cols(self, codec: ColumnarCodec) -> None:
         marker = self.load_state(_BACKFILL_MARKER)
@@ -372,10 +295,6 @@ class SQLiteBackend(StorageBackend):
         cols: Optional[str] = None,
     ) -> None:
         self._check_open()
-        if not self._columnar_ready:
-            cols = None
-        elif cols is None:
-            self._null_cols += 1
         with self._buffer_lock:
             self._pending.append((row, record, cols))
             self._pending_ids[row.record_id] = len(self._pending) - 1
@@ -394,26 +313,15 @@ class SQLiteBackend(StorageBackend):
                 return
             self._check_open()
             with self._write_lock:
-                if self._columnar_ready:
-                    self._conn.executemany(
-                        "INSERT INTO provenance (id, class, appid, xml, "
-                        "cols) VALUES (?, ?, ?, ?, ?)",
-                        [
-                            (r.record_id, r.record_class.value, r.app_id,
-                             r.xml, c)
-                            for r, __, c in self._pending
-                        ],
-                    )
-                else:
-                    self._conn.executemany(
-                        "INSERT INTO provenance (id, class, appid, xml) "
-                        "VALUES (?, ?, ?, ?)",
-                        [
-                            (r.record_id, r.record_class.value, r.app_id,
-                             r.xml)
-                            for r, __, __c in self._pending
-                        ],
-                    )
+                self._conn.executemany(
+                    "INSERT INTO provenance (id, class, appid, xml, cols) "
+                    "VALUES (?, ?, ?, ?, ?)",
+                    [
+                        (r.record_id, r.record_class.value, r.app_id, r.xml,
+                         c)
+                        for r, __, c in self._pending
+                    ],
+                )
                 # A death between the INSERTs and the COMMIT must roll the
                 # whole batch back — this is the transaction-boundary
                 # guarantee the crash model checker exercises.
@@ -452,16 +360,12 @@ class SQLiteBackend(StorageBackend):
             self._cache_put(record_id, record)
             return record
         found = self._conn.execute(
-            "SELECT id, class, appid, xml, cols FROM provenance WHERE id = ?"
-            if self._columnar_ready
-            else "SELECT id, class, appid, xml FROM provenance WHERE id = ?",
+            "SELECT id, class, appid, xml, cols FROM provenance WHERE id = ?",
             (record_id,),
         ).fetchone()
         if found is None:
             raise RecordNotFound(record_id)
-        row = self._row_from_sql(found[:4])
-        cols = found[4] if self._columnar_ready else None
-        record = self._materialize(row, cols)
+        record = self._materialize(self._row_from_sql(found[:4]), found[4])
         self._cache_put(record_id, record)
         return record
 
@@ -531,9 +435,7 @@ class SQLiteBackend(StorageBackend):
         """
         self._check_open()
         self.flush()
-        columns = "id, class, appid, xml"
-        if self._columnar_ready:
-            columns += ", cols"
+        columns = "id, class, appid, xml, cols"
         if app_ids is None:
             statements = [(f"SELECT {columns} FROM provenance "
                            "ORDER BY rowid", [])]
@@ -552,19 +454,14 @@ class SQLiteBackend(StorageBackend):
             ]
         for sql, params in statements:
             for found in self._conn.execute(sql, params):
-                yield (
-                    self._row_from_sql(found[:4]),
-                    found[4] if self._columnar_ready else None,
-                )
+                yield self._row_from_sql(found[:4]), found[4]
 
     def iter_records_projected(
         self,
         attributes: FrozenSet[str],
         app_ids: Optional[Collection[str]] = None,
     ) -> Optional[Iterator[ProvenanceRecord]]:
-        if not self._columnar_ready or self._codec is None:
-            return None
-        if self._decoder is None:
+        if self._codec is None or self._decoder is None:
             return None
 
         def generate() -> Iterator[ProvenanceRecord]:
@@ -578,46 +475,20 @@ class SQLiteBackend(StorageBackend):
     def query_records(
         self, query: RecordQuery
     ) -> Optional[List[ProvenanceRecord]]:
-        """Push *query* facets down into an indexed SQL WHERE clause.
+        """The rows of ``query.app_id``'s trace in append order, or ``None``
+        for a query not scoped to one trace.
 
-        Returns a superset of the true matches in append order (the store
-        re-applies ``query.matches``), or ``None`` when push-down is
-        unavailable or the query has no compilable constraint.
+        One ``appid = ?`` scan down the APPID index; the store applies
+        the query's other facets to the returned records.
         """
-        if not self._columnar_ready or self._codec is None:
+        if query.app_id is None:
             return None
-        if self._decoder is None:
-            return None
-        self._check_open()
-        compiled = compile_query(query)
-        if not compiled.has_constraints:
-            return None
-        self.flush()
-        where, params = compiled.where_clause(
-            include_null_branch=self._null_cols > 0
-        )
         self.pushdown_queries += 1
-        cursor = self._conn.execute(
-            "SELECT id, class, appid, xml, cols FROM provenance "
-            f"WHERE {where} ORDER BY rowid",
-            params,
-        )
-        results: List[ProvenanceRecord] = []
-        for found in cursor:
-            row = self._row_from_sql(found[:4])
-            cached = self._cache.get(row.record_id)
-            results.append(
-                cached if cached is not None else self._materialize(
-                    row, found[4]
-                )
-            )
-        return results
+        return list(self.iter_trace_records([query.app_id]))
 
     def columnar_coverage(self) -> Tuple[int, int]:
         """``(rows with a cols payload, total rows)`` including pending."""
         self._check_open()
-        if not self._columnar_ready:
-            return 0, self.count()
         with_cols, total = self._conn.execute(
             "SELECT COUNT(cols), COUNT(*) FROM provenance"
         ).fetchone()

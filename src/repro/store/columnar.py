@@ -1,19 +1,17 @@
-"""Columnar row representation + SQL predicate push-down plans.
+"""Columnar row representation: a decode cache beside the Table-I XML.
 
 The paper stores "the content of the recorded provenance events as XML"
-(Table I), and every query path in this repo used to decode that XML into
-Python objects before filtering — fine at 800 traces, fatal at 100k.  The
+(Table I).  Parsing that XML is the dominant cost of every read, and the
 event logs are naturally columnar (each (CLASS, record-type) pair has a
-fixed attribute set), so alongside the XML column the SQLite backend now
+fixed attribute set), so alongside the XML column the SQLite backend
 persists a compact typed **``cols`` payload** per row:
 
 ``{"v": 1, "t": type, "ts": int, "a": {name: value}, "s": src, "g": tgt,
 "x": crc32(xml)}``
 
-serialized as minified JSON with sorted keys — deliberately a format
-SQLite itself can index (``json_extract`` generated columns + expression
-indexes), which is what lets :class:`RecordQuery` attribute predicates
-compile into ``WHERE`` clauses instead of decode-then-filter.
+serialized as minified JSON with sorted keys.  Nothing queries it: SQL
+selects rows only by Table I's physical columns (the APPID of a trace),
+and the payload just lets the selected rows skip the XML parse.
 
 **XML stays the interchange and differential oracle format.**  The
 ``cols`` payload is a cache of the XML decode, never a second source of
@@ -32,12 +30,6 @@ truth:
   tampering of the XML invalidates the columnar fast path and the row
   falls back to the XML decode — which raises the same
   :class:`~repro.errors.CodecError` it always did.
-
-Push-down compilation follows a **superset rule**: the store re-applies
-``query.matches(record)`` to every candidate, so a compiled SQL filter
-only needs to never produce *false negatives*; predicates whose SQL
-semantics cannot be proven superset-safe are left as residual Python
-filters.
 """
 
 from __future__ import annotations
@@ -45,15 +37,7 @@ from __future__ import annotations
 import json
 import re
 import zlib
-from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Callable, Dict, FrozenSet, Optional
 
 from repro.errors import CodecError
 from repro.model.attributes import AttributeValue
@@ -64,7 +48,6 @@ from repro.model.records import (
     record_from_parts,
 )
 from repro.model.schema import ProvenanceDataModel
-from repro.store.query import RecordQuery
 from repro.store.xmlcodec import (
     StoredRow,
     XmlCodec,
@@ -81,14 +64,9 @@ COLS_VERSION = 1
 # row the canonical encoders could have produced.
 _SAFE_NAME_RE = re.compile(rf"{_NAME}\Z")
 
-# Attribute names safe to splice into a json_extract '$.a.<name>' path
-# (no quoting ambiguity).  Names outside it stay residual Python filters.
-_JSON_PATH_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-# SQLite integers are int64; a JSON integer outside this range is read
-# back as an approximated REAL by json_extract, which could produce
-# false negatives under ordered comparisons.  Such values are simply not
-# encoded (storage side) / not pushed (parameter side).
+# Payload integers stay within int64, the range every JSON reader
+# (SQLite's included) takes back exactly; rows holding larger values are
+# simply not encoded.
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
 
@@ -330,164 +308,3 @@ class ColumnarCodec:
             raise CodecError(f"row {row.record_id}: {exc}") from exc
         self.cols_decodes += 1
         return record
-
-
-# -- push-down plan compilation ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class CompiledQuery:
-    """A :class:`RecordQuery` lowered to SQL clauses over one row table.
-
-    ``physical`` clauses filter the real columns (``class``, ``appid``)
-    and apply to every row; ``cols`` clauses filter the columnar payload
-    and are only valid for rows where ``cols IS NOT NULL`` — the backend
-    widens them with an ``OR cols IS NULL`` branch while any un-encoded
-    rows exist, so those rows remain candidates for the store's residual
-    Python filter (the superset rule).
-    """
-
-    physical: Tuple[str, ...]
-    physical_params: Tuple[object, ...]
-    cols: Tuple[str, ...]
-    cols_params: Tuple[object, ...]
-    #: predicates compiled into SQL vs. left to query.matches().
-    pushed: int
-    residual: int
-
-    @property
-    def has_constraints(self) -> bool:
-        return bool(self.physical or self.cols)
-
-    def where_clause(
-        self, include_null_branch: bool
-    ) -> Tuple[str, Tuple[object, ...]]:
-        """``(sql, params)`` for the WHERE body.
-
-        *include_null_branch* keeps rows without a columnar payload in
-        the candidate set; pass ``False`` only when the table is known to
-        have no NULL ``cols`` (which is also what lets the expression
-        indexes engage).
-        """
-        clauses = list(self.physical)
-        params: List[object] = list(self.physical_params)
-        if self.cols:
-            joined = " AND ".join(self.cols)
-            if include_null_branch:
-                clauses.append(f"(cols IS NULL OR ({joined}))")
-            else:
-                clauses.append(f"({joined})")
-            params.extend(self.cols_params)
-        if not clauses:
-            return "1", ()
-        return " AND ".join(clauses), tuple(params)
-
-
-def attr_expr(name: str) -> str:
-    """The SQL expression reading attribute *name* from the payload."""
-    return f"json_extract(cols, '$.a.{name}')"
-
-
-def _bindable(value: object) -> Optional[object]:
-    """*value* as a SQLite parameter, or ``None`` when unbindable/unsafe."""
-    if isinstance(value, bool):
-        # json_extract reads JSON booleans back as 0/1.
-        return int(value)
-    if isinstance(value, int):
-        return value if _INT64_MIN <= value <= _INT64_MAX else None
-    if isinstance(value, float):
-        return value if value == value and value not in (
-            float("inf"), float("-inf")
-        ) else None
-    if isinstance(value, str):
-        return value
-    return None
-
-
-def _predicate_sql(
-    predicate,
-) -> Optional[Tuple[str, Tuple[object, ...]]]:
-    """One attribute predicate as a superset-safe SQL clause, or ``None``.
-
-    Safe because encoded payloads only hold str/int64/float/bool values
-    (SQLite compares int64/REAL exactly and TEXT in code-point order, so
-    same-type comparisons agree with Python), and cross-type comparisons
-    in SQLite either agree with Python's (``==``/``!=`` across types) or
-    err on the side of matching (type-ordered ``<``/``>``) — false
-    positives the store's final ``query.matches`` filter removes.
-    """
-    if _JSON_PATH_RE.match(predicate.name) is None:
-        return None
-    expr = attr_expr(predicate.name)
-    if predicate.op == "exists":
-        return f"{expr} IS NOT NULL", ()
-    if predicate.op == "absent":
-        return f"{expr} IS NULL", ()
-    if predicate.value is None:
-        return None
-    param = _bindable(predicate.value)
-    if param is None:
-        return None
-    operator_sql = {
-        "==": "=", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
-    }.get(predicate.op)
-    if operator_sql is None:
-        return None
-    return f"{expr} {operator_sql} ?", (param,)
-
-
-def compile_query(query: RecordQuery) -> CompiledQuery:
-    """Lower *query* into a :class:`CompiledQuery` under the superset rule.
-
-    Every facet that compiles cleanly becomes SQL; everything else stays
-    a residual count (the caller's ``query.matches`` handles it).
-    """
-    physical: List[str] = []
-    physical_params: List[object] = []
-    cols: List[str] = []
-    cols_params: List[object] = []
-    pushed = 0
-    residual = 0
-    if query.record_class is not None:
-        physical.append("class = ?")
-        physical_params.append(query.record_class.value)
-    if query.app_id is not None:
-        physical.append("appid = ?")
-        physical_params.append(query.app_id)
-    if query.entity_type is not None:
-        if _SAFE_NAME_RE.match(query.entity_type) is not None:
-            cols.append("etype = ?")
-            cols_params.append(query.entity_type)
-        else:
-            residual += 1
-    if query.since is not None:
-        bound = _bindable(query.since)
-        if isinstance(bound, int):
-            cols.append("ts >= ?")
-            cols_params.append(bound)
-        else:
-            residual += 1
-    if query.until is not None:
-        bound = _bindable(query.until)
-        if isinstance(bound, int):
-            cols.append("ts <= ?")
-            cols_params.append(bound)
-        else:
-            residual += 1
-    for predicate in query.predicates:
-        clause = _predicate_sql(predicate)
-        if clause is None:
-            residual += 1
-            continue
-        sql, params = clause
-        cols.append(sql)
-        cols_params.extend(params)
-        pushed += 1
-    return CompiledQuery(
-        physical=tuple(physical),
-        physical_params=tuple(physical_params),
-        cols=tuple(cols),
-        cols_params=tuple(cols_params),
-        pushed=pushed,
-        residual=residual,
-    )

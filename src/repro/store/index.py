@@ -3,8 +3,8 @@
 The physical table only groups rows by position; the queries the control
 evaluator issues ("the Data records of type ``jobrequisition`` in trace
 ``App01``", "relations whose source is PE3") need faster access paths.  The
-index maintains hash maps over class, APPID, entity type, relation
-endpoints, and — optionally — individual attribute values.
+index maintains hash maps over class, APPID, entity type, and relation
+endpoints.
 
 Indexing is an optimization layer: the store works with indexes disabled
 (every query falls back to a scan), which experiment E8 uses to quantify the
@@ -14,22 +14,15 @@ speedup.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from repro.model.attributes import AttributeValue
 from repro.model.records import ProvenanceRecord, RecordClass, RelationRecord
 
 
 class StoreIndex:
-    """Hash indexes over the records of one store.
+    """Hash indexes over the records of one store."""
 
-    Attributes:
-        indexed_attributes: attribute names to maintain value indexes for.
-            Attribute indexes cover ``(entity_type, name, value)`` triples.
-    """
-
-    def __init__(self, indexed_attributes: Optional[Set[str]] = None) -> None:
-        self.indexed_attributes: Set[str] = set(indexed_attributes or ())
+    def __init__(self) -> None:
         self._by_class: Dict[RecordClass, List[str]] = defaultdict(list)
         self._by_app: Dict[str, List[str]] = defaultdict(list)
         self._by_type: Dict[str, List[str]] = defaultdict(list)
@@ -38,9 +31,6 @@ class StoreIndex:
         )
         self._by_source: Dict[str, List[str]] = defaultdict(list)
         self._by_target: Dict[str, List[str]] = defaultdict(list)
-        self._by_attribute: Dict[
-            Tuple[str, str, AttributeValue], List[str]
-        ] = defaultdict(list)
 
     def rebuild(self, records: "Iterable[ProvenanceRecord]") -> int:
         """Re-index from scratch over *records* (in append order).
@@ -56,7 +46,6 @@ class StoreIndex:
         self._by_app_class.clear()
         self._by_source.clear()
         self._by_target.clear()
-        self._by_attribute.clear()
         count = 0
         for record in records:
             self.add(record)
@@ -73,11 +62,6 @@ class StoreIndex:
         if isinstance(record, RelationRecord):
             self._by_source[record.source_id].append(rid)
             self._by_target[record.target_id].append(rid)
-        for name in self.indexed_attributes:
-            value = record.get(name)
-            if value is not None:
-                key = (record.entity_type, name, value)
-                self._by_attribute[key].append(rid)
 
     # -- lookups (each returns ids in append order) --------------------------
 
@@ -100,14 +84,6 @@ class StoreIndex:
 
     def relations_to(self, target_id: str) -> List[str]:
         return list(self._by_target.get(target_id, ()))
-
-    def by_attribute(
-        self, entity_type: str, name: str, value: AttributeValue
-    ) -> Optional[List[str]]:
-        """Ids with ``record.get(name) == value``; None when not indexed."""
-        if name not in self.indexed_attributes:
-            return None
-        return list(self._by_attribute.get((entity_type, name, value), ()))
 
     def has_app(self, app_id: str) -> bool:
         """Whether any record of trace *app_id* has been indexed."""

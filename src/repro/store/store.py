@@ -41,7 +41,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Set,
     Tuple,
     Union,
 )
@@ -71,7 +70,6 @@ class ProvenanceStore:
     Args:
         model: optional data model; when given, appends are validated.
         indexed: whether to maintain secondary indexes (E8 ablation knob).
-        indexed_attributes: attribute names to value-index (e.g. ``reqid``).
         backend: where the physical rows live — a
             :class:`~repro.store.backends.base.StorageBackend` instance, a
             registry name (``"memory"``, ``"sqlite"``), or ``None`` for the
@@ -86,17 +84,11 @@ class ProvenanceStore:
         self,
         model: Optional[ProvenanceDataModel] = None,
         indexed: bool = True,
-        indexed_attributes: Optional[Set[str]] = None,
         backend: BackendSpec = None,
         fast_codec: bool = True,
     ) -> None:
         self.model = model
         self.codec: Optional[XmlCodec] = XmlCodec(model) if fast_codec else None
-        # Retained so shard-scoped handles (service ingest lanes) can be
-        # built with the same columnar/index configuration.
-        self.indexed_attributes: FrozenSet[str] = frozenset(
-            indexed_attributes or ()
-        )
         if backend is None:
             backend = create_backend("memory")
         elif isinstance(backend, str):
@@ -109,12 +101,8 @@ class ProvenanceStore:
         self.columnar: Optional[ColumnarCodec] = None
         if fast_codec and self._backend.accepts_cols():
             self.columnar = ColumnarCodec(model)
-            self._backend.bind_columnar(
-                self.columnar, indexed_attributes or ()
-            )
-        self._index: Optional[StoreIndex] = (
-            StoreIndex(indexed_attributes) if indexed else None
-        )
+            self._backend.bind_columnar(self.columnar)
+        self._index: Optional[StoreIndex] = StoreIndex() if indexed else None
         self._observers: List[Callable[[ProvenanceRecord], None]] = []
         self._seen_seq = self._backend.last_seq()
         #: cached canonical trace order of a sharded store (see
@@ -439,40 +427,28 @@ class ProvenanceStore:
     # -- querying ----------------------------------------------------------
 
     def _candidates(self, query: RecordQuery) -> Iterator[ProvenanceRecord]:
-        """Choose the narrowest index path for *query*, else scan."""
-        # Predicate push-down first: a backend that can compile the query
-        # into indexed SQL hands back a candidate superset without
-        # touching rows the WHERE clause excludes.  select()/select_one()
-        # still apply query.matches to every candidate (superset rule).
-        pushed = self._backend.query_records(query)
-        if pushed is not None:
-            yield from pushed
+        """Choose the narrowest access path for *query*, else scan.
+
+        Candidates are a superset of the matches; select()/select_one()
+        apply ``query.matches`` to every one.
+        """
+        # A trace-scoped query reads the trace by Table I's APPID column
+        # when the backend has an SQL path for it.
+        trace = self._backend.query_records(query)
+        if trace is not None:
+            yield from trace
             return
         if self._index is None:
             if query.app_id is not None:
-                # The physical row carries APPID (Table I), so a trace
-                # query filters on the column and decodes only that
-                # trace's rows — other traces' XML is never touched, and
-                # a corrupt row elsewhere stays that trace's problem.
-                for row in self._backend.iter_rows():
-                    if row.app_id == query.app_id:
-                        yield self._decode(row)
+                # Only that trace's rows are materialized: other traces'
+                # XML is never touched, and a corrupt row elsewhere stays
+                # that trace's problem.
+                yield from self._backend.iter_trace_records([query.app_id])
                 return
             yield from self.records()
             return
         ids: Optional[List[str]] = None
-        # Attribute value index is the most selective path when available.
-        if query.entity_type is not None:
-            for predicate in query.predicates:
-                if predicate.op != "==" or predicate.value is None:
-                    continue
-                hit = self._index.by_attribute(
-                    query.entity_type, predicate.name, predicate.value
-                )
-                if hit is not None:
-                    ids = hit
-                    break
-        if ids is None and query.app_id is not None:
+        if query.app_id is not None:
             if query.record_class is not None:
                 ids = self._index.by_app_class(query.app_id, query.record_class)
             else:
@@ -581,7 +557,6 @@ class ProvenanceStore:
         path: str,
         model: Optional[ProvenanceDataModel] = None,
         indexed: bool = True,
-        indexed_attributes: Optional[Set[str]] = None,
         backend: BackendSpec = None,
     ) -> "ProvenanceStore":
         """Rebuild a store from a file written by :meth:`dump`.
@@ -592,12 +567,7 @@ class ProvenanceStore:
         """
         if not os.path.exists(path):
             raise QueryError(f"no store file at {path!r}")
-        store = cls(
-            model=model,
-            indexed=indexed,
-            indexed_attributes=indexed_attributes,
-            backend=backend,
-        )
+        store = cls(model=model, indexed=indexed, backend=backend)
         with open(path, "r", encoding="utf-8") as handle, store.bulk():
             for line in handle:
                 line = line.strip()

@@ -1,11 +1,11 @@
 """Differential fuzz suite for the columnar row representation.
 
-The ``cols`` payload and the SQL predicate push-down are fast paths over
-the Table-I XML, never a second source of truth — so every assertion here
-is differential: whatever the columnar path produces must equal what the
-pure ElementTree decode-then-filter oracle produces, record for record,
-across every backend kind (memory, sqlite, sharded, fault-proxied) and
-across databases written before the columnar schema existed.
+The ``cols`` payload (a decode cache) and the trace-scoped SQL reads are
+fast paths over the Table-I XML, never a second source of truth — so
+every assertion here is differential: whatever the fast paths produce
+must equal what the pure ElementTree decode-then-filter oracle produces,
+record for record, across every backend kind (memory, sqlite, sharded,
+fault-proxied) and across databases written by earlier schemas.
 """
 
 import random
@@ -13,7 +13,7 @@ import sqlite3
 
 import pytest
 
-from repro.errors import BackendError, CodecError
+from repro.errors import CodecError
 from repro.model.builder import ModelBuilder
 from repro.model.records import (
     DataRecord,
@@ -21,7 +21,7 @@ from repro.model.records import (
     RelationRecord,
     TaskRecord,
 )
-from repro.store.columnar import ColumnarCodec, compile_query
+from repro.store.columnar import ColumnarCodec
 from repro.store.backends.sqlite import SQLiteBackend
 from repro.store.query import RecordQuery
 from repro.store.store import ProvenanceStore
@@ -48,6 +48,17 @@ CREATE TABLE aux_state (
     key     TEXT PRIMARY KEY,
     payload TEXT NOT NULL
 );
+"""
+
+#: what the previous on-disk layout added to v1: the ``cols`` payload
+#: plus generated columns over it and an index on the entity type.
+GENERATED_COLUMNS = """
+ALTER TABLE provenance ADD COLUMN cols TEXT;
+ALTER TABLE provenance ADD COLUMN etype TEXT GENERATED ALWAYS AS
+    (json_extract(cols, '$.t')) VIRTUAL;
+ALTER TABLE provenance ADD COLUMN ts INTEGER GENERATED ALWAYS AS
+    (json_extract(cols, '$.ts')) VIRTUAL;
+CREATE INDEX idx_provenance_etype ON provenance(etype);
 """
 
 
@@ -133,7 +144,8 @@ def fuzz_records(app_id, rng):
 
 
 def query_bank(app_id):
-    """Queries covering every push-down clause shape plus residual cases."""
+    """Queries over every facet: class, APPID, type, attribute operators
+    (with hostile values), and time bounds, scoped and unscoped."""
     jr = RecordQuery(entity_type="jobrequisition")
     return [
         RecordQuery(),
@@ -174,18 +186,15 @@ class TestDifferentialQueries:
 
     @pytest.mark.parametrize("kind", BACKEND_PARAMS)
     def test_pushdown_matches_full_scan(self, kind, tmp_path):
-        """Push-down must be invisible next to the backend's own scan.
+        """Trace-scoped SQL must be invisible next to the backend's scan.
 
-        The universe comes from an unconstrained select — which never
-        pushes down — so any divergence the compiled WHERE clauses
-        introduce (type coercion, collation, NULL handling) shows up as
-        a record-level mismatch.
+        The universe comes from an unconstrained select — which reads
+        the whole table — so any divergence the APPID path or the index
+        paths introduce shows up as a record-level mismatch.
         """
         model = fuzz_model()
         store = ProvenanceStore(
-            model=model,
-            indexed_attributes={"reqid"},
-            backend=make_backend(kind, tmp_path),
+            model=model, backend=make_backend(kind, tmp_path)
         )
         app_ids = [f"App{i:02d}" for i in range(6)]
         populate(store, app_ids)
@@ -296,33 +305,9 @@ class TestCodecRoundTrip:
         assert codec.cols_rejects == 1
 
 
-class TestCompiledQueryShapes:
-    def test_pushed_and_residual_counting(self):
-        query = RecordQuery(
-            record_class=RecordClass.DATA,
-            app_id="App01",
-            entity_type="jobrequisition",
-        ).where("headcount", ">", 3).where("weird-name", "==", "x")
-        compiled = compile_query(query)
-        assert compiled.pushed == 1  # headcount
-        assert compiled.residual == 1  # weird-name is not a safe JSON path
-        assert compiled.physical == ("class = ?", "appid = ?")
-        sql, params = compiled.where_clause(include_null_branch=True)
-        assert "cols IS NULL OR" in sql
-        assert params[-1] == 3
-        sql_tight, __ = compiled.where_clause(include_null_branch=False)
-        assert "cols IS NULL" not in sql_tight
-
-    def test_empty_query_has_no_constraints(self):
-        compiled = compile_query(RecordQuery())
-        assert not compiled.has_constraints
-        assert compile_query(
-            RecordQuery(app_id="App01")
-        ).has_constraints
-
-
 class TestMigration:
-    """Pre-columnar database files open, upgrade, and answer identically."""
+    """Files written by earlier schemas open, upgrade, and answer
+    identically."""
 
     def _legacy_db(self, tmp_path, model, app_ids):
         """A v1-schema database holding fuzz rows, built with raw SQL."""
@@ -368,6 +353,61 @@ class TestMigration:
         again = ProvenanceStore(model=model, backend=backend_again)
         assert backend_again.migrated_cols == 0
         again.close()
+
+    def test_generated_column_file_opens_and_accepts_appends(self, tmp_path):
+        """A file whose ``cols`` payload also fed generated ``etype``/``ts``
+        columns and an ``etype`` index (the previous on-disk layout) keeps
+        them, answers like the oracle, and takes new rows."""
+        model = fuzz_model()
+        source = ProvenanceStore(model=model, backend=SQLiteBackend())
+        populate(source, ["G1", "G2"], seed=5)
+        rows = [
+            (r.record_id, r.record_class.value, r.app_id, r.xml,
+             source.columnar.encode_cols(r, source.get(r.record_id)))
+            for r in source.rows()
+        ]
+        source.close()
+        path = str(tmp_path / "generated.db")
+        conn = sqlite3.connect(path)
+        conn.executescript(V1_SCHEMA)
+        conn.executescript(GENERATED_COLUMNS)
+        conn.executemany(
+            "INSERT INTO provenance (id, class, appid, xml, cols) "
+            "VALUES (?, ?, ?, ?, ?)",
+            rows,
+        )
+        conn.commit()
+        conn.close()
+
+        store = ProvenanceStore(model=model, backend=SQLiteBackend(path))
+        oracle = [decode_row(row, model) for row in store.rows()]
+        for query in query_bank("G1"):
+            assert store.select(query) == [
+                r for r in oracle if query.matches(r)
+            ]
+        populate(store, ["G3"], seed=6)
+        store.close()
+
+        reopened = ProvenanceStore(
+            model=model, indexed=False, backend=SQLiteBackend(path)
+        )
+        oracle = [decode_row(row, model) for row in reopened.rows()]
+        assert {r.app_id for r in oracle} == {"G1", "G2", "G3"}
+        for query in query_bank("G3"):
+            assert reopened.select(query) == [
+                r for r in oracle if query.matches(r)
+            ]
+        with_cols, total = reopened.backend.columnar_coverage()
+        assert 0 < with_cols <= total == len(oracle)
+        reopened.close()
+        # The generated columns survive, and new rows fill them too.
+        conn = sqlite3.connect(path)
+        (typed,) = conn.execute(
+            "SELECT COUNT(*) FROM provenance WHERE appid = 'G3' "
+            "AND etype IS NOT NULL"
+        ).fetchone()
+        conn.close()
+        assert typed > 0
 
     def test_verbatim_reload_writes_payloads(self, tmp_path):
         model = fuzz_model()
@@ -424,23 +464,6 @@ class TestTamperConfinement:
 
 
 class TestCacheConfiguration:
-    def test_env_overrides_default_cache_size(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DECODE_CACHE", "17")
-        backend = SQLiteBackend()
-        assert backend.cache_size == 17
-        backend.close()
-
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DECODE_CACHE", "17")
-        backend = SQLiteBackend(cache_size=5)
-        assert backend.cache_size == 5
-        backend.close()
-
-    def test_invalid_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DECODE_CACHE", "lots")
-        with pytest.raises(BackendError):
-            SQLiteBackend()
-
     def test_cache_and_pushdown_counters(self, tmp_path):
         model = fuzz_model()
         path = str(tmp_path / "c.db")
@@ -461,6 +484,10 @@ class TestCacheConfiguration:
         assert backend.cache_hits > hits_before
         assert backend.pushdown_queries == 0
         reopened.select(RecordQuery(entity_type="jobrequisition"))
+        assert backend.pushdown_queries == 0  # not trace-scoped
+        reopened.select(
+            RecordQuery(app_id="App01", entity_type="jobrequisition")
+        )
         assert backend.pushdown_queries == 1
         reopened.close()
 

@@ -19,11 +19,13 @@ from repro.processes import hiring
 from repro.processes.engine import ProcessSimulator, all_events
 from repro.processes.violations import ViolationPlan
 from repro.service import ComplianceRuntime, InProcessTransport
+from repro.model.records import RelationRecord
 from repro.store.backends import (
     MemoryBackend,
     ShardedBackend,
     SQLiteBackend,
 )
+from repro.store.columnar import ColumnarCodec
 from repro.store.store import ProvenanceStore
 
 
@@ -732,6 +734,66 @@ class TestShardedLanes:
         assert report.traces >= 0
         second.ingest(events)  # full replay; dedup keeps it idempotent
         second.sync()
+        assert _served_payloads(second) == _cold_sweep_payloads(sim2)
+        second.shutdown()
+
+
+    def test_reopened_lanes_correlate_without_decoding_at_open(
+        self, tmp_path, monkeypatch
+    ):
+        """A lane seeds no edge set at open: every row decoded while the
+        runtime opens goes through the global store, none through a lane
+        handle.  Correlation still emits each (type, source, target)
+        edge once when re-sent and late events reach the reopened
+        lanes."""
+        db = str(tmp_path / "reopened-lanes.db")
+        workload = hiring.workload()
+        events = _event_stream(workload, cases=8, seed=23)
+        positions = {}
+        for position, event in enumerate(events):
+            positions.setdefault(event.app_id, []).append(position)
+        held = {p for trace in positions.values() for p in trace[-2:]}
+        early = [e for p, e in enumerate(events) if p not in held]
+        late = [e for p, e in enumerate(events) if p in held]
+
+        sim1, first = self._attach_sqlite(workload, db)
+        first.open()
+        first.ingest(early)
+        first.shutdown()
+
+        decoded_by = []
+        store_decode = ProvenanceStore._decode
+        cols_decode = ColumnarCodec.decode_cols
+
+        def spy_store_decode(store, row):
+            decoded_by.append(store)
+            return store_decode(store, row)
+
+        def spy_cols_decode(codec, row, cols, projection=None):
+            decoded_by.append(codec)
+            return cols_decode(codec, row, cols, projection)
+
+        monkeypatch.setattr(ProvenanceStore, "_decode", spy_store_decode)
+        monkeypatch.setattr(ColumnarCodec, "decode_cols", spy_cols_decode)
+        sim2, second = self._attach_sqlite(workload, db)
+        second.open()
+        monkeypatch.undo()
+        assert decoded_by
+        assert all(
+            owner is sim2.store or owner is sim2.store.columnar
+            for owner in decoded_by
+        )
+
+        resent = second.ingest(early)
+        assert resent.recorded == 0
+        assert second.ingest(late).recorded == len(late)
+        second.sync()
+        edges = [
+            (r.entity_type, r.source_id, r.target_id)
+            for r in sim2.store.records()
+            if isinstance(r, RelationRecord)
+        ]
+        assert edges and len(edges) == len(set(edges))
         assert _served_payloads(second) == _cold_sweep_payloads(sim2)
         second.shutdown()
 

@@ -95,7 +95,6 @@ def backend_kind(request):
 def store(backend_kind, tmp_path):
     store = ProvenanceStore(
         indexed=True,
-        indexed_attributes={"reqid"},
         backend=make_backend(backend_kind, tmp_path),
     )
     store.extend(sample_records("App01"))

@@ -10,8 +10,10 @@ from repro.model.records import (
     RelationRecord,
     ResourceRecord,
 )
+from repro.store import store as store_module
 from repro.store.query import RecordQuery
 from repro.store.store import ProvenanceStore
+from repro.store.xmlcodec import XmlCodec
 
 
 def sample_records(app_id="App01"):
@@ -37,9 +39,7 @@ def sample_records(app_id="App01"):
 
 @pytest.fixture(params=[True, False], ids=["indexed", "scan"])
 def store(request):
-    store = ProvenanceStore(
-        indexed=request.param, indexed_attributes={"reqid"}
-    )
+    store = ProvenanceStore(indexed=request.param)
     store.extend(sample_records("App01"))
     store.extend(sample_records("App02"))
     return store
@@ -156,38 +156,11 @@ class TestPersistence:
 
 
 class TestStoreIndexDirect:
-    """Direct tests of the attribute value index path."""
-
-    def test_attribute_index_used_for_equality(self):
-        store = ProvenanceStore(indexed=True, indexed_attributes={"reqid"})
-        for index in range(20):
-            store.append(
-                DataRecord.create(
-                    f"D{index}", f"App{index:02d}", "jobrequisition",
-                    attributes={"reqid": f"R{index}"},
-                )
-            )
-        query = RecordQuery(entity_type="jobrequisition").where(
-            "reqid", "==", "R7"
-        )
-        hits = store.select(query)
-        assert [r.record_id for r in hits] == ["D7"]
+    """Attribute predicates have no value index: they filter the
+    candidates of the type index."""
 
     def test_unindexed_attribute_falls_back(self):
-        store = ProvenanceStore(indexed=True, indexed_attributes=set())
-        store.append(
-            DataRecord.create(
-                "D1", "App01", "jobrequisition",
-                attributes={"reqid": "R1"},
-            )
-        )
-        query = RecordQuery(entity_type="jobrequisition").where(
-            "reqid", "==", "R1"
-        )
-        assert len(store.select(query)) == 1
-
-    def test_attribute_index_respects_entity_type(self):
-        store = ProvenanceStore(indexed=True, indexed_attributes={"reqid"})
+        store = ProvenanceStore(indexed=True)
         store.append(
             DataRecord.create(
                 "D1", "App01", "jobrequisition",
@@ -200,7 +173,31 @@ class TestStoreIndexDirect:
                 attributes={"reqid": "R1"},
             )
         )
-        query = RecordQuery(entity_type="approvalstatus").where(
+        query = RecordQuery(entity_type="jobrequisition").where(
             "reqid", "==", "R1"
         )
-        assert [r.record_id for r in store.select(query)] == ["D2"]
+        assert [r.record_id for r in store.select(query)] == ["D1"]
+
+
+class TestUnindexedTraceQuery:
+    def test_memory_backend_serves_its_live_records(self, monkeypatch):
+        """An unindexed handle over the memory backend answers a trace
+        query with the backend's own record objects, decoding no XML."""
+        store = ProvenanceStore(indexed=False)
+        first = sample_records("App01")
+        second = sample_records("App02")
+        store.extend(first + second)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a live record was re-decoded from XML")
+
+        monkeypatch.setattr(XmlCodec, "decode_row", refuse)
+        monkeypatch.setattr(store_module, "decode_row", refuse)
+        found = store.select(RecordQuery(app_id="App02"))
+        assert len(found) == len(second)
+        assert all(got is kept for got, kept in zip(found, second))
+        data = store.select(
+            RecordQuery(app_id="App01", record_class=RecordClass.DATA)
+        )
+        assert [r.record_id for r in data] == ["D1-App01"]
+        assert data[0] is first[1]
