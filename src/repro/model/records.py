@@ -30,7 +30,14 @@ class RecordClass(enum.Enum):
 
     @classmethod
     def from_wire(cls, text: str) -> "RecordClass":
-        """Parse the CLASS column value (case-insensitive)."""
+        """Parse the CLASS column value (case-insensitive).
+
+        Stored rows carry the exact value, so that is one dict lookup;
+        any other spelling falls back to a case-insensitive match.
+        """
+        member = _CLASS_BY_VALUE.get(text)
+        if member is not None:
+            return member
         for member in cls:
             if member.value.lower() == text.strip().lower():
                 return member
@@ -40,6 +47,11 @@ class RecordClass(enum.Enum):
     def is_node(self) -> bool:
         """Whether records of this class become provenance-graph nodes."""
         return self is not RecordClass.RELATION
+
+
+_CLASS_BY_VALUE: Dict[str, RecordClass] = {
+    member.value: member for member in RecordClass
+}
 
 
 def _freeze_attributes(

@@ -1,10 +1,16 @@
 """Secondary indexes for the provenance store.
 
-The physical table only groups rows by position; the queries the control
-evaluator issues ("the Data records of type ``jobrequisition`` in trace
-``App01``", "relations whose source is PE3") need faster access paths.  The
-index maintains hash maps over class, APPID, entity type, and relation
-endpoints.
+The paper's Table I has two columns a query can key on: ``APPID`` (which
+trace a row belongs to) and ``CLASS``.  The index keeps one hash map over
+each, from column value to row ids in append order.  APPID → ids gives
+the trace order (:meth:`StoreIndex.app_ids`) and answers "have we seen
+this trace"; CLASS → ids serves :meth:`ProvenanceStore.record_ids
+<repro.store.store.ProvenanceStore.record_ids>`.
+
+Both maps read only a row's ``ID``, ``CLASS`` and ``APPID`` — fields a
+:class:`~repro.store.xmlcodec.StoredRow` and a decoded record share — so
+opening a store over a populated backend hydrates the index from the
+physical rows without decoding any XML.
 
 Indexing is an optimization layer: the store works with indexes disabled
 (every query falls back to a scan), which experiment E8 uses to quantify the
@@ -14,54 +20,42 @@ speedup.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Union
 
-from repro.model.records import ProvenanceRecord, RecordClass, RelationRecord
+from repro.model.records import ProvenanceRecord, RecordClass
+from repro.store.xmlcodec import StoredRow
+
+#: anything carrying Table I's ``record_id``, ``record_class`` and ``app_id``.
+Indexable = Union[StoredRow, ProvenanceRecord]
 
 
 class StoreIndex:
-    """Hash indexes over the records of one store."""
+    """APPID and CLASS hash indexes over the rows of one store."""
 
     def __init__(self) -> None:
         self._by_class: Dict[RecordClass, List[str]] = defaultdict(list)
         self._by_app: Dict[str, List[str]] = defaultdict(list)
-        self._by_type: Dict[str, List[str]] = defaultdict(list)
-        self._by_app_class: Dict[Tuple[str, RecordClass], List[str]] = (
-            defaultdict(list)
-        )
-        self._by_source: Dict[str, List[str]] = defaultdict(list)
-        self._by_target: Dict[str, List[str]] = defaultdict(list)
 
-    def rebuild(self, records: "Iterable[ProvenanceRecord]") -> int:
-        """Re-index from scratch over *records* (in append order).
+    def rebuild(self, rows: Iterable[Indexable]) -> int:
+        """Re-index from scratch over *rows* (in append order).
 
         Used when a store opens over a storage backend that already holds
         rows — e.g. a SQLite file written by an earlier run — so that the
         hydrated indexes are indistinguishable from freshly-built ones.
-        Returns the number of records indexed.
+        Returns the number of rows indexed.
         """
         self._by_class.clear()
         self._by_app.clear()
-        self._by_type.clear()
-        self._by_app_class.clear()
-        self._by_source.clear()
-        self._by_target.clear()
         count = 0
-        for record in records:
-            self.add(record)
+        for row in rows:
+            self.add(row)
             count += 1
         return count
 
-    def add(self, record: ProvenanceRecord) -> None:
-        """Index one appended record."""
-        rid = record.record_id
-        self._by_class[record.record_class].append(rid)
-        self._by_app[record.app_id].append(rid)
-        self._by_type[record.entity_type].append(rid)
-        self._by_app_class[(record.app_id, record.record_class)].append(rid)
-        if isinstance(record, RelationRecord):
-            self._by_source[record.source_id].append(rid)
-            self._by_target[record.target_id].append(rid)
+    def add(self, row: Indexable) -> None:
+        """Index one appended row (or its record)."""
+        self._by_class[row.record_class].append(row.record_id)
+        self._by_app[row.app_id].append(row.record_id)
 
     # -- lookups (each returns ids in append order) --------------------------
 
@@ -71,22 +65,8 @@ class StoreIndex:
     def by_app(self, app_id: str) -> List[str]:
         return list(self._by_app.get(app_id, ()))
 
-    def by_type(self, entity_type: str) -> List[str]:
-        return list(self._by_type.get(entity_type, ()))
-
-    def by_app_class(
-        self, app_id: str, record_class: RecordClass
-    ) -> List[str]:
-        return list(self._by_app_class.get((app_id, record_class), ()))
-
-    def relations_from(self, source_id: str) -> List[str]:
-        return list(self._by_source.get(source_id, ()))
-
-    def relations_to(self, target_id: str) -> List[str]:
-        return list(self._by_target.get(target_id, ()))
-
     def has_app(self, app_id: str) -> bool:
-        """Whether any record of trace *app_id* has been indexed."""
+        """Whether any row of trace *app_id* has been indexed."""
         return app_id in self._by_app
 
     def app_ids(self) -> List[str]:

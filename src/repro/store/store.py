@@ -14,9 +14,11 @@ store is the *coordination layer* over a pluggable storage backend
   evaluator's frame cache and its verdict materializer) on every append.
 
 Opening a store over a backend that already holds rows (e.g. a SQLite file
-written by an earlier run) hydrates the secondary indexes from the existing
-rows, so queries and continuous checking behave exactly as if the records
-had just been appended.
+written by an earlier run) hydrates the secondary indexes from the rows'
+Table I columns (``ID``, ``CLASS``, ``APPID``) without decoding any XML, so
+queries and continuous checking behave exactly as if the records had just
+been appended.  A row that cannot be decoded is reported when something
+reads it — a read of its trace — not at open.
 
 The store also fronts the backend's **change feed**: every committed row
 has a monotonic sequence number (its append position), :meth:`last_seq`
@@ -48,11 +50,7 @@ from typing import (
 from repro.errors import DuplicateRecordId, QueryError
 from repro.faults.points import crash_point
 from repro.model.attributes import AttributeValue
-from repro.model.records import (
-    ProvenanceRecord,
-    RecordClass,
-    RelationRecord,
-)
+from repro.model.records import ProvenanceRecord, RecordClass
 from repro.model.schema import ProvenanceDataModel
 from repro.store.backends import StorageBackend, create_backend
 from repro.store.columnar import ColumnarCodec
@@ -109,7 +107,7 @@ class ProvenanceStore:
         #: :meth:`app_ids`); None = ask the backend.
         self._trace_order: Optional[List[str]] = None
         if self._index is not None and self._backend.count():
-            self._index.rebuild(self._backend.iter_records())
+            self._index.rebuild(self._backend.iter_rows())
 
     @property
     def backend(self) -> StorageBackend:
@@ -432,32 +430,22 @@ class ProvenanceStore:
         Candidates are a superset of the matches; select()/select_one()
         apply ``query.matches`` to every one.
         """
-        # A trace-scoped query reads the trace by Table I's APPID column
-        # when the backend has an SQL path for it.
+        # A trace-scoped query reads the whole trace by Table I's APPID
+        # column: in SQL when the backend has that path, else off the
+        # index, else by a scoped scan that leaves other traces' rows
+        # undecoded (a corrupt row elsewhere stays that trace's problem).
         trace = self._backend.query_records(query)
         if trace is not None:
             yield from trace
             return
-        if self._index is None:
-            if query.app_id is not None:
-                # Only that trace's rows are materialized: other traces'
-                # XML is never touched, and a corrupt row elsewhere stays
-                # that trace's problem.
+        if query.app_id is not None:
+            if self._index is None:
                 yield from self._backend.iter_trace_records([query.app_id])
                 return
-            yield from self.records()
-            return
-        ids: Optional[List[str]] = None
-        if query.app_id is not None:
-            if query.record_class is not None:
-                ids = self._index.by_app_class(query.app_id, query.record_class)
-            else:
-                ids = self._index.by_app(query.app_id)
-        if ids is None and query.entity_type is not None:
-            ids = self._index.by_type(query.entity_type)
-        if ids is None and query.record_class is not None:
+            ids = self._index.by_app(query.app_id)
+        elif self._index is not None and query.record_class is not None:
             ids = self._index.by_class(query.record_class)
-        if ids is None:
+        else:
             yield from self.records()
             return
         for record_id in ids:
@@ -489,30 +477,6 @@ class ProvenanceStore:
         for name, value in attribute_equals.items():
             query = query.where(name, "==", value)
         return self.select(query)
-
-    def relations_from(self, source_id: str) -> List[RelationRecord]:
-        """All relation records whose source is *source_id*."""
-        if self._index is not None:
-            ids = self._index.relations_from(source_id)
-            return [self._backend.get(i) for i in ids]  # type: ignore[misc]
-        return [
-            record
-            for record in self.records()
-            if isinstance(record, RelationRecord)
-            and record.source_id == source_id
-        ]
-
-    def relations_to(self, target_id: str) -> List[RelationRecord]:
-        """All relation records whose target is *target_id*."""
-        if self._index is not None:
-            ids = self._index.relations_to(target_id)
-            return [self._backend.get(i) for i in ids]  # type: ignore[misc]
-        return [
-            record
-            for record in self.records()
-            if isinstance(record, RelationRecord)
-            and record.target_id == target_id
-        ]
 
     # -- persistence -------------------------------------------------------
 

@@ -18,6 +18,7 @@ from repro.errors import DeploymentError
 from repro.graph.build import build_trace_graph
 from repro.store.store import ProvenanceStore
 from tests.conftest import build_hiring_trace
+from tests.test_store_store import relations
 
 GM_CONTROL = """
 definitions
@@ -130,7 +131,7 @@ class TestControlBinder:
         assert node.get("control") == "gm-approval"
         assert node.get("status") == "satisfied"
 
-        edges = store.relations_from(node.record_id)
+        edges = relations(store, source_id=node.record_id)
         targets = {e.target_id for e in edges}
         assert targets == {"App01-D1", "App01-D2", "App01-D3"}
         assert all(e.entity_type == "checks" for e in edges)

@@ -32,6 +32,7 @@ from repro.faults import (
 from repro.faults.plan import FaultInjected
 from repro.processes import hiring
 from repro.store.backends import MemoryBackend, SQLiteBackend
+from repro.store.query import RecordQuery
 from repro.store.store import ProvenanceStore
 
 from tests.conftest import derive_seed
@@ -149,12 +150,26 @@ class TestFaultPrimitives:
     def test_corrupted_row_is_detected_on_recovery(self, sim, tmp_path):
         plan = FaultPlan(seed=1).corrupt_write(nth=2)
         faulty, store = _faulty_store(sim, plan, tmp_path)
-        for record in _records(sim)[:3]:
+        first, second = list(sim.store.records_by_trace().values())
+        for record in first[:3] + second:
             store.append(record)
         store.flush()
         faulty.crash()
+        # Opening reads only Table I's columns; the torn row (write #2,
+        # in the first trace) fails the first read of its trace, and the
+        # intact trace still reads on the same indexed handle.
+        recovered = ProvenanceStore(
+            model=sim.model, backend=faulty.recover()
+        )
+        assert recovered.indexed
+        bad, good = first[1].app_id, second[0].app_id
+        assert bad != good
         with pytest.raises(StoreError):
-            ProvenanceStore(model=sim.model, backend=faulty.recover())
+            recovered.select(RecordQuery(app_id=bad))
+        assert [r.record_id for r in recovered.select(
+            RecordQuery(app_id=good)
+        )] == [r.record_id for r in second]
+        recovered.close()
 
 
 class TestSnapshotDurability:

@@ -156,14 +156,25 @@ class TestCorruptedRows:
         conn.close()
         return path, sim
 
-    def test_indexed_open_fails_fast_on_tampered_row(self, tmp_path):
+    def test_indexed_read_of_tampered_trace_fails(self, tmp_path):
+        """An indexed open reads only Table I's columns, so the tampered
+        row fails the first read of its trace — and only that trace."""
         from repro.errors import StoreError
         from repro.store.backends import SQLiteBackend
+        from repro.store.query import RecordQuery
         from repro.store.store import ProvenanceStore as Store
 
         path, sim = self._tampered_db(tmp_path)
+        store = Store(model=sim.model, backend=SQLiteBackend(path))
+        assert store.indexed
+        assert store.app_ids() == ["App01", "App02"]
         with pytest.raises(StoreError):
-            Store(model=sim.model, backend=SQLiteBackend(path))
+            store.select(RecordQuery(app_id="App01"))
+        intact = store.select(RecordQuery(app_id="App02"))
+        assert intact and [r.record_id for r in intact] == [
+            row.record_id for row in store.rows() if row.app_id == "App02"
+        ]
+        store.close()
 
     def test_tampered_row_surfaces_as_error_verdict(self, tmp_path):
         """Through the materializer, a tampered row becomes an explicit

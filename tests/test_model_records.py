@@ -36,6 +36,21 @@ class TestRecordClass:
         with pytest.raises(UnknownRecordClass):
             RecordClass.from_wire("thing")
 
+    def test_from_wire_exact_folded_and_unknown_values(self):
+        for member in RecordClass:
+            # The exact CLASS column value every stored row carries.
+            assert RecordClass.from_wire(member.value) is member
+            # Any other spelling takes the case-insensitive fallback.
+            for text in (
+                member.value.lower(),
+                member.value.upper(),
+                f"  {member.value.lower()}\t",
+            ):
+                assert RecordClass.from_wire(text) is member
+        for text in ("", "   ", "Datum", "Data Task", "relations"):
+            with pytest.raises(UnknownRecordClass):
+                RecordClass.from_wire(text)
+
     def test_relation_is_not_node(self):
         assert not RecordClass.RELATION.is_node
         for cls in (

@@ -26,6 +26,7 @@ from repro.store.backends import (
     SQLiteBackend,
 )
 from repro.store.columnar import ColumnarCodec
+from repro.store.query import RecordQuery
 from repro.store.store import ProvenanceStore
 
 
@@ -741,11 +742,11 @@ class TestShardedLanes:
     def test_reopened_lanes_correlate_without_decoding_at_open(
         self, tmp_path, monkeypatch
     ):
-        """A lane seeds no edge set at open: every row decoded while the
-        runtime opens goes through the global store, none through a lane
-        handle.  Correlation still emits each (type, source, target)
-        edge once when re-sent and late events reach the reopened
-        lanes."""
+        """A lane seeds no edge set at open: a snapshot-restored open
+        decodes no row, and a read after it decodes through the global
+        store, none through a lane handle.  Correlation still emits each
+        (type, source, target) edge once when re-sent and late events
+        reach the reopened lanes."""
         db = str(tmp_path / "reopened-lanes.db")
         workload = hiring.workload()
         events = _event_stream(workload, cases=8, seed=23)
@@ -776,7 +777,13 @@ class TestShardedLanes:
         monkeypatch.setattr(ProvenanceStore, "_decode", spy_store_decode)
         monkeypatch.setattr(ColumnarCodec, "decode_cols", spy_cols_decode)
         sim2, second = self._attach_sqlite(workload, db)
-        second.open()
+        report = second.open()
+        # The snapshot-restored open decodes nothing at all; a read of
+        # one trace after it proves the spies see decodes, and that
+        # they go through the global store.
+        assert report.restored and decoded_by == []
+        trace = sim2.store.app_ids()[0]
+        assert sim2.store.select(RecordQuery(app_id=trace))
         monkeypatch.undo()
         assert decoded_by
         assert all(

@@ -36,11 +36,12 @@ from repro.store.backends import (
     SQLiteBackend,
     create_backend,
 )
+from repro.store.columnar import ColumnarCodec
 from repro.store.query import RecordQuery
 from repro.store.store import ProvenanceStore
 from repro.store.xmlcodec import encode_row
 
-from tests.test_store_store import sample_records
+from tests.test_store_store import relations, sample_records
 
 BACKEND_PARAMS = (
     "memory",
@@ -61,6 +62,42 @@ BACKEND_PARAMS = (
 
 #: kinds whose iteration order is shard-grouped, not global first-seen.
 MULTI_SHARD_KINDS = frozenset({"sharded-4", "sharded-faulty"})
+
+#: kinds whose rows live in files a fresh backend object can reopen.
+FILE_KINDS = frozenset({"sqlite-file", "faulty-sqlite", "sharded-4"})
+
+
+def index_answers(store, per_trace=False):
+    """Everything the store's index serves, as record ids: the trace
+    order, ``record_ids(c)`` for every class, and selects by APPID, by
+    APPID + class and by class.
+
+    With *per_trace*, whole-store lists are grouped by trace (keeping
+    each trace's append order), the order contract of multi-shard kinds.
+    """
+    def ids(found):
+        if per_trace:
+            found = sorted(found, key=lambda r: r.app_id)
+        return [r.record_id for r in found]
+
+    traces = store.app_ids()
+    answers = {"app_ids": sorted(traces) if per_trace else traces}
+    for record_class in RecordClass:
+        answers["record_ids", record_class] = ids(
+            store.get(i) for i in store.record_ids(record_class)
+        )
+        answers["class", record_class] = ids(
+            store.select(RecordQuery(record_class=record_class))
+        )
+        for trace in traces:
+            answers[trace, record_class] = ids(
+                store.select(
+                    RecordQuery(app_id=trace, record_class=record_class)
+                )
+            )
+    for trace in traces:
+        answers[trace] = ids(store.select(RecordQuery(app_id=trace)))
+    return answers
 
 
 def make_backend(kind, tmp_path):
@@ -146,8 +183,27 @@ class TestConformance:
             "reqid", "==", "Req-App02"
         )
         assert [r.record_id for r in store.select(query)] == ["D1-App02"]
-        outgoing = store.relations_from("R1-App01")
+        outgoing = relations(store, source_id="R1-App01")
         assert [r.record_id for r in outgoing] == ["E1-App01"]
+
+    def test_reopened_handle_serves_the_writers_index(
+        self, store, backend_kind, tmp_path
+    ):
+        """A handle opened over the rows hydrates the same APPID and
+        CLASS index the writing handle built append by append."""
+        per_trace = backend_kind in MULTI_SHARD_KINDS
+        written = index_answers(store, per_trace)
+        assert written["app_ids"] == ["App01", "App02"]
+        store.flush()
+        reopened = ProvenanceStore(
+            backend=(
+                make_backend(backend_kind, tmp_path)
+                if backend_kind in FILE_KINDS
+                else store.backend
+            )
+        )
+        assert index_answers(reopened, per_trace) == written
+        reopened.close()
 
     def test_observer_ordering(self, store):
         """Observers fire per append, in subscription order, post-commit."""
@@ -330,6 +386,7 @@ class TestSQLiteSpecifics:
         store.extend(sample_records("App01"))
         store.extend(sample_records("App02"))
         rows_before = [r.as_tuple() for r in store.rows()]
+        written = index_answers(store)
         store.close()
 
         reopened = ProvenanceStore(backend=SQLiteBackend(db))
@@ -337,9 +394,7 @@ class TestSQLiteSpecifics:
         assert [r.as_tuple() for r in reopened.rows()] == rows_before
         # Index paths work over hydrated data.
         assert reopened.app_ids() == ["App01", "App02"]
-        assert [
-            r.record_id for r in reopened.relations_from("R1-App01")
-        ] == ["E1-App01"]
+        assert index_answers(reopened) == written
         with pytest.raises(DuplicateRecordId):
             reopened.append(sample_records("App01")[0])
         reopened.close()
@@ -427,6 +482,55 @@ class TestSQLiteSpecifics:
             create_backend("cassandra")
         with pytest.raises(BackendError):
             create_backend("memory", path="nope.db")
+
+
+class TestOpenDecodesNothing:
+    """Opening an indexed store over populated files hydrates its index
+    from Table I's columns: no row's XML or columnar payload is decoded
+    until something reads a trace."""
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_reopen_decodes_zero_rows(self, shards, tmp_path, monkeypatch):
+        db = str(tmp_path / "open.db")
+
+        def open_backend():
+            if shards == 1:
+                return SQLiteBackend(db)
+            return ShardedBackend.for_sqlite(db, shards)
+
+        store = ProvenanceStore(backend=open_backend())
+        with store.bulk():
+            for i in range(20):
+                store.extend(sample_records(f"App{i:02d}"))
+        written = index_answers(store, per_trace=shards > 1)
+        store.close()
+
+        decoded = []
+        store_decode = ProvenanceStore._decode
+        cols_decode = ColumnarCodec.decode_cols
+
+        def spy_store_decode(owner, row):
+            decoded.append(row.record_id)
+            return store_decode(owner, row)
+
+        def spy_cols_decode(codec, row, cols, projection=None):
+            decoded.append(row.record_id)
+            return cols_decode(codec, row, cols, projection)
+
+        monkeypatch.setattr(ProvenanceStore, "_decode", spy_store_decode)
+        monkeypatch.setattr(ColumnarCodec, "decode_cols", spy_cols_decode)
+        reopened = ProvenanceStore(backend=open_backend())
+        assert reopened.indexed
+        assert len(reopened) == 60
+        assert decoded == []
+        # The spies see decodes: reading one trace decodes its rows only.
+        assert len(reopened.select(RecordQuery(app_id="App07"))) == 3
+        assert decoded and set(decoded) <= {
+            "R1-App07", "D1-App07", "E1-App07"
+        }
+        monkeypatch.undo()
+        assert index_answers(reopened, per_trace=shards > 1) == written
+        reopened.close()
 
 
 class TestDeployedChecking:

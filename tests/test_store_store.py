@@ -37,6 +37,17 @@ def sample_records(app_id="App01"):
     return [person, requisition, relation]
 
 
+def relations(store, source_id=None, target_id=None):
+    """Relation records by endpoint: a RELATION-class select, filtered
+    on ``source_id`` / ``target_id``."""
+    return [
+        r
+        for r in store.select(RecordQuery(record_class=RecordClass.RELATION))
+        if source_id in (None, r.source_id)
+        and target_id in (None, r.target_id)
+    ]
+
+
 @pytest.fixture(params=[True, False], ids=["indexed", "scan"])
 def store(request):
     store = ProvenanceStore(indexed=request.param)
@@ -128,12 +139,12 @@ class TestSelect:
         hits = store.find_data("App01", "jobrequisition", type="new")
         assert [r.record_id for r in hits] == ["D1-App01"]
 
-    def test_relations_from_to(self, store):
-        outgoing = store.relations_from("R1-App01")
+    def test_relations_by_endpoint(self, store):
+        outgoing = relations(store, source_id="R1-App01")
         assert [r.record_id for r in outgoing] == ["E1-App01"]
-        incoming = store.relations_to("D1-App01")
+        incoming = relations(store, target_id="D1-App01")
         assert [r.record_id for r in incoming] == ["E1-App01"]
-        assert store.relations_from("D1-App01") == []
+        assert relations(store, source_id="D1-App01") == []
 
 
 class TestPersistence:
@@ -156,8 +167,8 @@ class TestPersistence:
 
 
 class TestStoreIndexDirect:
-    """Attribute predicates have no value index: they filter the
-    candidates of the type index."""
+    """Attribute predicates have no value index: they filter every
+    candidate the query's access path yields."""
 
     def test_unindexed_attribute_falls_back(self):
         store = ProvenanceStore(indexed=True)
